@@ -1,16 +1,18 @@
-"""Batched damped-Newton solvers for the two one-step problems.
+"""One batched damped-Newton kernel for the two one-step problems.
 
-Both problems are smooth strictly convex programs over a single node's
-children, solved simultaneously for a batch of nodes (arrays shaped
-(m, k) over m nodes with k children each, increments (m, k, d)):
+Both problems minimise a log-sum-exp over a node's children, solved
+simultaneously for a batch of rows (arrays shaped (m, k) over m rows
+with k children each, increments (m, k, d)):
 
 * entropic tilt — minimize sum_i q_i (log(q_i / p_i) + cost_i) over
-  strictly positive martingale kernels q; the optimizer is the
-  exponential tilt q_i ∝ p_i exp(-cost_i + lam . ds_i) and the dual
-  root-finding problem is solved by Newton on lam.
+  strictly positive martingale kernels q.  The optimizer is the tilt
+  q_i ∝ p_i exp(-cost_i + lam . ds_i), where lam minimises
+  lse(log p - cost + ds . lam) and the value is -lse.
 
 * exponential hedge — minimize (1/a) log sum_i q_i exp(a (cont_i -
-  theta . ds_i)) over holdings theta, by Newton on theta.
+  theta . ds_i)) over holdings theta.  This is the same problem with
+  offsets log q + a cont, multiplier lam = -a theta and value lse / a,
+  so the risk aversion is per-row data the kernel never sees.
 
 All exponentials run through log-sum-exp with max shifts.  Singular
 Newton systems fall back to pseudo-inverse steps, which keeps the
@@ -19,18 +21,25 @@ return the minimal-norm multiplier / holdings.  Rows where a damped
 step makes no progress (the tilted covariance can collapse to a lower
 rank while the softmax saturates en route) switch to Levenberg
 ridge steps, bending toward steepest descent until progress resumes;
-both objectives are smooth and convex, so this always recovers.
+the objective is smooth and convex, so this always recovers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NewtonConvergenceError, NoArbitrageViolated
 from .tolerances import NEWTON_MAX_ITER
 
 _MAX_HALVINGS = 60
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+# A row that stalls (no damping or ridge makes progress) is still
+# accepted when its residual is below this multiple of max(1, |ds|_inf):
+# near the optimum the objective is flat to machine precision once the
+# softmax weights concentrate.  Each route keeps its own floor.
+ENTROPIC_FLOOR = 1e-10
+HEDGE_FLOOR = 1e-8
 
 
 @dataclass
@@ -40,37 +49,44 @@ class BatchResult:
     value: np.ndarray      # (m,) optimal objective value
     iterations: np.ndarray  # (m,)
     residual: np.ndarray   # (m,) final constraint / scaled-gradient norm
-    degenerate: np.ndarray  # (m,) bool, increments rank deficient
+    degenerate: np.ndarray | None = None  # (m,) bool, increments rank deficient
 
 
-def _softmax_rows(logits):
+@dataclass
+class LseSolution:
+    """Row-wise minimisers of lse(a + ds . lam), see :func:`lse_newton`."""
+
+    w: np.ndarray          # (m, k) softmax weights at the optimum
+    lam: np.ndarray        # (m, d) multipliers
+    lse: np.ndarray        # (m,) minimal log-sum-exp
+    iterations: np.ndarray  # (m,) Newton steps taken
+    residual: np.ndarray   # (m,) |E_w[ds]|_inf, the gradient norm
+    failed: np.ndarray     # (m,) bool, residual above tolerance and floor
+
+
+def _evaluate(a, ds, lam):
+    """Softmax weights, lse, weighted increment mean and its sup norm."""
+    logits = a + np.einsum("mkd,md->mk", ds, lam)
     mx = logits.max(axis=1, keepdims=True)
     w = np.exp(logits - mx)
     z = w.sum(axis=1, keepdims=True)
-    return w / z, (np.log(z[:, 0]) + mx[:, 0])
+    w /= z
+    mean = np.einsum("mk,mkd->md", w, ds)
+    return w, np.log(z[:, 0]) + mx[:, 0], mean, np.abs(mean).max(axis=1)
 
 
-def _tilted_moments(q, ds):
-    mean = np.einsum("mk,mkd->md", q, ds)
-    cov = np.einsum("mk,mki,mkj->mij", q, ds, ds) - mean[:, :, None] * mean[:, None, :]
-    return mean, cov
-
-
-def _pinv_step(cov, grad, mu=None):
+def _pinv_step(cov, grad, mu):
     """- pinv(cov + mu I) @ grad, batched; stays in the increment row space.
 
     ``mu`` is a per-row ridge (Levenberg damping); zero rows take the
     plain pseudo-inverse step.
     """
     d = cov.shape[-1]
-    if mu is not None and np.any(mu > 0):
+    if np.any(mu > 0):
         cov = cov + mu[:, None, None] * np.eye(d)
     if d == 1:
-        c = cov[:, 0, 0]
-        out = np.zeros_like(grad)
-        ok = c > 0
-        out[ok, 0] = -grad[ok, 0] / c[ok]
-        return out
+        c = cov[:, :, 0]
+        return np.divide(-grad, c, out=np.zeros_like(grad), where=c > 0)
     return -np.einsum("mij,mj->mi", np.linalg.pinv(cov, hermitian=True), grad)
 
 
@@ -86,6 +102,8 @@ def _is_degenerate(ds):
 
 def _feasible_martingale_kernel_exists(ds_row):
     """LP feasibility: strictly positive kernel with zero increment mean."""
+    from scipy.optimize import linprog
+
     k, d = ds_row.shape
     scale = max(1.0, float(np.abs(ds_row).max()))
     c = np.zeros(k + 1)
@@ -101,8 +119,115 @@ def _feasible_martingale_kernel_exists(ds_row):
     return bool(res.success and res.x[-1] > 1e-11)
 
 
-def _residual_scale(ds):
-    return np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))
+def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
+               max_iter=NEWTON_MAX_ITER) -> LseSolution:
+    """Minimise lse(a + ds . lam) over lam, row by row, by damped Newton.
+
+    Parameters
+    ----------
+    a : (m, k) offsets.
+    ds : (m, k, d) increments.
+    lam0 : optional (m, d) start.
+    floor : stalled rows pass when their residual is below
+        ``floor * max(1, |ds|_inf)``.
+    newton_tol : tolerance on the gradient E_w[ds], scaled per row by
+        max(1, |ds|_inf).
+
+    A damped step is accepted when it lowers lse, or, inside the
+    float-noise envelope of lse, when it lowers the residual, so iterates
+    can polish the root without ever jumping to a saturated region.
+    Rows are independent; unsolved ones are flagged, not raised, so the
+    caller can name them.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    ds = np.asarray(ds, dtype=np.float64)
+    m, k, d = ds.shape
+    lam = np.zeros((m, d)) if lam0 is None else np.array(lam0, dtype=np.float64)
+    scale = np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))
+    tol_row = newton_tol * scale
+    scale2 = scale ** 2
+    w, lse, mean, resid = _evaluate(a, ds, lam)
+    iters = np.zeros(m, dtype=np.int64)
+    stalled = np.zeros(m, dtype=bool)
+    mu = np.zeros(m)  # Levenberg ridge, in curvature units
+    eps32 = 32 * np.finfo(np.float64).eps
+
+    for _ in range(max_iter):
+        active = (resid > tol_row) & ~stalled
+        n_active = np.count_nonzero(active)
+        if n_active == 0:
+            break
+        # a slice while every row is active, so the row gathers are views
+        idx = slice(None) if n_active == m else np.flatnonzero(active)
+        ds_i, mean_i = ds[idx], mean[idx]
+        cov = (np.einsum("mk,mki,mkj->mij", w[idx], ds_i, ds_i)
+               - mean_i[:, :, None] * mean_i[:, None, :])
+        step = _pinv_step(cov, mean_i, mu[idx])
+        # halve the step of the rows still pending; a row's accepted trial
+        # is written back at once, the pending rows keep their iterate
+        rows, t, hard = idx, 1.0, _NO_ROWS
+        for _h in range(_MAX_HALVINGS):
+            trial = lam[rows] + t * step
+            t_w, t_lse, t_mean, t_resid = _evaluate(a[rows], ds[rows], trial)
+            lse_r = lse[rows]
+            better = (t_lse < lse_r) | (
+                (t_lse <= lse_r + eps32 * np.maximum(1.0, np.abs(lse_r)))
+                & (t_resid < resid[rows]))
+            if better.all():
+                lam[rows], w[rows], lse[rows], mean[rows], resid[rows] = (
+                    trial, t_w, t_lse, t_mean, t_resid)
+                hard = _NO_ROWS
+                break
+            rows = np.arange(m)[rows]
+            acc, hard, step = rows[better], rows[~better], step[~better]
+            lam[acc], w[acc], lse[acc], mean[acc], resid[acc] = (
+                x[better] for x in (trial, t_w, t_lse, t_mean, t_resid))
+            rows, t = hard, 0.5 * t
+        mu_hard = mu[hard]
+        mu[idx] *= 0.25
+        if hard.size:
+            # rows no damping scale helped: raise the ridge and try again,
+            # giving up only deep in the steepest-descent regime
+            mu[hard] = np.where(mu_hard == 0.0, 1e-8 * scale2[hard], mu_hard * 10.0)
+            stalled[hard[mu[hard] > 1e8 * scale2[hard]]] = True
+        iters[idx] += 1
+
+    failed = resid > np.maximum(tol_row, floor * scale)
+    return LseSolution(w, lam, lse, iters, resid, failed)
+
+
+def group_rows(x, nb):
+    """Tile a sweep group's array over a batch axis: (m, ...) -> (nb * m, ...)."""
+    return np.broadcast_to(x, (nb, *x.shape)).reshape(nb * x.shape[0], *x.shape[1:])
+
+
+def unsolved_error(route, sol, ds, where):
+    """The error for the first row ``sol`` left unsolved; ``where(r)``
+    names row r in the message.
+
+    On the entropic route a row without a strictly positive martingale
+    kernel is an arbitrage, not a solver failure.
+    """
+    r = int(np.flatnonzero(sol.failed)[0])
+    if route == "entropic" and not _feasible_martingale_kernel_exists(ds[r]):
+        return NoArbitrageViolated(
+            f"no strictly positive martingale kernel exists at {where(r)}")
+    return NewtonConvergenceError(
+        f"{route} Newton stalled at residual {sol.residual[r]:.3e} at {where(r)}")
+
+
+def sweep_error(route, sol, ds, nodes, t, alphas=None):
+    """The error for the first unsolved row of a sweep's group call.
+
+    Rows are batch-major over the group's ``nodes``; the message names
+    the tree node, the time slice and, when known, the row's alpha.
+    """
+    def where(r):
+        b, j = divmod(r, nodes.size)
+        alpha = "" if alphas is None else f", alpha={float(alphas[b])!r}"
+        return f"node {int(nodes[j])} (slice {t}{alpha})"
+
+    return unsolved_error(route, sol, ds, where)
 
 
 def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12,
@@ -121,83 +246,14 @@ def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12,
     Returns the optimal kernels, multipliers lam, and the value
     -log sum_i p_i exp(-cost_i + lam . ds_i).
     """
-    logp = np.asarray(logp, dtype=np.float64)
-    cost = np.asarray(cost, dtype=np.float64)
     ds = np.asarray(ds, dtype=np.float64)
-    m, k, d = ds.shape
-    a = logp - cost
-    lam = np.zeros((m, d)) if lam0 is None else np.array(lam0, dtype=np.float64)
-    tol_row = newton_tol * _residual_scale(ds)
-
-    logits = a + np.einsum("mkd,md->mk", ds, lam)
-    q, lse = _softmax_rows(logits)
-    mean, cov = _tilted_moments(q, ds)
-    resid = np.abs(mean).max(axis=1)
-    iters = np.zeros(m, dtype=np.int64)
-    stalled = np.zeros(m, dtype=bool)
-    scale2 = _residual_scale(ds) ** 2
-    mu = np.zeros(m)  # Levenberg ridge, in curvature units
-
-    for _ in range(max_iter):
-        active = (resid > tol_row) & ~stalled
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        step = _pinv_step(cov[idx], mean[idx], mu[idx])
-        scale = np.ones(idx.size)
-        pend = np.ones(idx.size, dtype=bool)
-        new_lam = lam[idx].copy()
-        new_resid = resid[idx].copy()
-        new_q = q[idx].copy()
-        new_lse = lse[idx].copy()
-        for _h in range(_MAX_HALVINGS):
-            if not pend.any():
-                break
-            trial = lam[idx[pend]] + scale[pend, None] * step[pend]
-            t_logits = a[idx[pend]] + np.einsum("mkd,md->mk", ds[idx[pend]], trial)
-            t_q, t_lse = _softmax_rows(t_logits)
-            t_mean = np.einsum("mk,mkd->md", t_q, ds[idx[pend]])
-            t_resid = np.abs(t_mean).max(axis=1)
-            # descend the dual objective; residual breaks ties inside the
-            # float-noise envelope of lse, so iterates can polish the
-            # root without ever jumping to a saturated region
-            slack = 32 * np.finfo(np.float64).eps * np.maximum(
-                1.0, np.abs(lse[idx[pend]]))
-            better = (t_lse < lse[idx[pend]]) | (
-                (t_lse <= lse[idx[pend]] + slack) & (t_resid < resid[idx[pend]]))
-            sub = np.flatnonzero(pend)
-            acc = sub[better]
-            new_lam[acc] = trial[better]
-            new_resid[acc] = t_resid[better]
-            new_q[acc] = t_q[better]
-            new_lse[acc] = t_lse[better]
-            pend[acc] = False
-            scale[pend] *= 0.5
-        ok = ~pend
-        mu[idx[ok]] *= 0.25
-        # rows no damping scale helped: raise the ridge and try again,
-        # giving up only deep in the steepest-descent regime
-        hard = idx[pend]
-        mu[hard] = np.where(mu[hard] == 0.0, 1e-8 * scale2[hard], mu[hard] * 10.0)
-        stalled[hard[mu[hard] > 1e8 * scale2[hard]]] = True
-        lam[idx] = new_lam
-        q[idx] = new_q
-        lse[idx] = new_lse
-        mean[idx], cov[idx] = _tilted_moments(q[idx], ds[idx])
-        resid[idx] = np.abs(mean[idx]).max(axis=1)
-        iters[idx] += 1
-
-    bad = resid > np.maximum(tol_row, 1e-10 * _residual_scale(ds))
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        if not _feasible_martingale_kernel_exists(ds[row]):
-            raise NoArbitrageViolated(
-                "no strictly positive martingale kernel exists for a node "
-                f"(batch row {row})")
-        raise NewtonConvergenceError(
-            f"entropic projection stalled at residual {resid[row]:.3e} "
-            f"(batch row {row})")
-    return BatchResult(q, lam, -lse, iters, resid, _is_degenerate(ds))
+    a = np.asarray(logp, dtype=np.float64) - np.asarray(cost, dtype=np.float64)
+    sol = lse_newton(a, ds, lam0, floor=ENTROPIC_FLOOR, newton_tol=newton_tol,
+                     max_iter=max_iter)
+    if sol.failed.any():
+        raise unsolved_error("entropic", sol, ds, lambda r: f"batch row {r}")
+    return BatchResult(sol.w, sol.lam, -sol.lse, sol.iterations, sol.residual,
+                       _is_degenerate(ds))
 
 
 def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12,
@@ -205,79 +261,18 @@ def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12,
     """Minimize (1/a) log sum_i q_i exp(a (cont_i - theta . ds_i)) per row.
 
     Stationarity is measured by the softmax-tilted increment mean (the
-    gradient divided by alpha), scaled like the entropic solver, so the
-    achieved hedge accuracy is uniform in alpha.  Damping accepts a step
-    when the objective decreases, with residual decrease as a fallback
-    acceptance near the floor.
+    gradient divided by alpha), so the achieved hedge accuracy is
+    uniform in alpha.
     """
-    logq = np.asarray(logq, dtype=np.float64)
-    cont = np.asarray(cont, dtype=np.float64)
-    ds = np.asarray(ds, dtype=np.float64)
     alpha = float(alpha)
-    m, k, d = ds.shape
-    b = logq + alpha * cont
-    theta = np.zeros((m, d)) if theta0 is None else np.array(theta0, dtype=np.float64)
-    tol_row = newton_tol * _residual_scale(ds)
-
-    def evaluate(th, rows=slice(None)):
-        logits = b[rows] - alpha * np.einsum("mkd,md->mk", ds[rows], th)
-        w, lse = _softmax_rows(logits)
-        mean = np.einsum("mk,mkd->md", w, ds[rows])
-        return w, lse, mean, np.abs(mean).max(axis=1)
-
-    q, lse, mean, resid = evaluate(theta)
-    iters = np.zeros(m, dtype=np.int64)
-    stalled = np.zeros(m, dtype=bool)
-    scale2 = _residual_scale(ds) ** 2
-    mu = np.zeros(m)
-
-    for _ in range(max_iter):
-        active = (resid > tol_row) & ~stalled
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        _, cov = _tilted_moments(q[idx], ds[idx])
-        step = _pinv_step(cov, -mean[idx], mu[idx]) / alpha
-        scale = np.ones(idx.size)
-        pend = np.ones(idx.size, dtype=bool)
-        new_theta = theta[idx].copy()
-        new_state = (q[idx].copy(), lse[idx].copy(), mean[idx].copy(), resid[idx].copy())
-        for _h in range(_MAX_HALVINGS):
-            if not pend.any():
-                break
-            rows = idx[pend]
-            trial = theta[rows] + scale[pend, None] * step[pend]
-            t_q, t_lse, t_mean, t_resid = evaluate(trial, rows)
-            slack = 32 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(lse[rows]))
-            better = (t_lse < lse[rows]) | (
-                (t_lse <= lse[rows] + slack) & (t_resid < resid[rows]))
-            sub = np.flatnonzero(pend)
-            acc = sub[better]
-            new_theta[acc] = trial[better]
-            new_state[0][acc] = t_q[better]
-            new_state[1][acc] = t_lse[better]
-            new_state[2][acc] = t_mean[better]
-            new_state[3][acc] = t_resid[better]
-            pend[acc] = False
-            scale[pend] *= 0.5
-        mu[idx[~pend]] *= 0.25
-        hard = idx[pend]
-        mu[hard] = np.where(mu[hard] == 0.0, 1e-8 * scale2[hard], mu[hard] * 10.0)
-        stalled[hard[mu[hard] > 1e8 * scale2[hard]]] = True
-        theta[idx] = new_theta
-        q[idx], lse[idx], mean[idx], resid[idx] = new_state
-        iters[idx] += 1
-
-    # the objective is flat to machine precision near the optimum once
-    # softmax weights concentrate; accept any stalled row whose residual
-    # is small relative to the curvature floor, otherwise give up loudly
-    bad = resid > np.maximum(tol_row, 1e-8 * _residual_scale(ds))
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise NewtonConvergenceError(
-            f"exponential hedge Newton stalled at residual {resid[row]:.3e} "
-            f"(batch row {row}, alpha={alpha})")
-    return BatchResult(q, theta, lse / alpha, iters, resid, _is_degenerate(ds))
+    a = np.asarray(logq, dtype=np.float64) + alpha * np.asarray(cont, dtype=np.float64)
+    lam0 = None if theta0 is None else -alpha * np.asarray(theta0, dtype=np.float64)
+    sol = lse_newton(a, ds, lam0, floor=HEDGE_FLOOR, newton_tol=newton_tol,
+                     max_iter=max_iter)
+    if sol.failed.any():
+        raise unsolved_error("primal", sol, ds, lambda r: f"batch row {r} (alpha={alpha})")
+    return BatchResult(sol.w, -sol.lam / alpha, sol.lse / alpha, sol.iterations,
+                       sol.residual)
 
 
 def gkw_batch(q, ds, v):

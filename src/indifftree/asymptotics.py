@@ -39,7 +39,7 @@ from .measures import (MeasureProcess, expected_remaining,
                        minimal_entropy_measure, node_probabilities)
 from .superrep import optional_decomposition, superrep_surface
 from .tolerances import DEFAULT, Tolerances
-from .valuation import indifference_surface
+from .valuation import _surfaces, indifference_surface
 
 __all__ = [
     "SlopeFit",
@@ -249,15 +249,13 @@ def small_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
     proj = claim_projection(tree, claim, measure, tol=tol)
     cols = {k: [] for k in ("dist_sup", "dist_psi_sq", "dist_L_sq",
                             "bmo_psi", "bmo_L", "comp_dist")}
-    theta0 = None
-    for a in grid:
-        res = indifference_surface(tree, claim, a, measure, theta0=theta0, tol=tol)
-        theta0 = res.strategy
-        sol = exact_decomposition(tree, res, measure)
+    surfaces = _surfaces(tree, measure, [(claim.values, a) for a in grid], tol)
+    for a, values in zip(grid, surfaces):
+        sol = exact_decomposition(tree, values, measure, alpha=a)
         remaining = expected_remaining(tree, measure, sol.compensator_step)
-        cols["dist_sup"].append(float(np.abs(res.surface.values - proj.values).max()))
+        cols["dist_sup"].append(float(np.abs(values - proj.values).max()))
         cols["comp_dist"].append(float(np.abs(
-            res.surface.values - proj.values - remaining).max()))
+            values - proj.values - remaining).max()))
         dpsi_sq, dl_sq = _bmo_sq_of_parts(
             tree, measure, sol.psi - proj.psi, sol.d_orth - proj.d_orth)
         cols["dist_psi_sq"].append(dpsi_sq)
@@ -453,14 +451,18 @@ def lipschitz_in_alpha(tree: EventTree, claim: ClaimSpec, *,
     base = rng.uniform(0.05 * gamma, 0.95 * gamma, size=n_pairs)
     offs = rng.uniform(0.01, 1.0, size=n_pairs) * (gamma - base)
 
-    cache = {}
+    # alphas equal to 14 decimals share one surface; all are priced in
+    # one batched sweep
+    distinct = {}
+    for level in range(levels):
+        for a, delta in zip(base, offs * (0.5 ** level)):
+            for x in (float(a + delta), float(a)):
+                distinct.setdefault(round(x, 14), x)
+    surfaces = dict(zip(distinct, _surfaces(
+        tree, measure, [(claim.values, a) for a in distinct.values()], tol)))
 
     def surface(a):
-        key = round(float(a), 14)
-        if key not in cache:
-            cache[key] = indifference_surface(
-                tree, claim, float(a), measure, tol=tol).surface.values
-        return cache[key]
+        return surfaces[round(float(a), 14)]
 
     khats = []
     for level in range(levels):
@@ -494,15 +496,14 @@ def continuity_in_B(tree: EventTree, claim: ClaimSpec,
     """
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    surfaces = {a: indifference_surface(tree, claim, a, measure, tol=tol)
-                .surface.values for a in alphas}
+    claims = [claim, *perturbed]
+    surfaces = _surfaces(tree, measure, [(cl.values, a) for cl in claims
+                                         for a in alphas], tol)
+    surfaces = surfaces.reshape(len(claims), len(alphas), tree.n_nodes)
     input_d, output_d, margins = [], [], []
-    for cl in perturbed:
+    for cl, vals in zip(perturbed, surfaces[1:]):
         din = float(np.abs(cl.values - claim.values).max())
-        dout = 0.0
-        for a in alphas:
-            vals = indifference_surface(tree, cl, a, measure, tol=tol).surface.values
-            dout = max(dout, float(np.abs(vals - surfaces[a]).max()))
+        dout = float(np.abs(vals - surfaces[0]).max())
         input_d.append(din)
         output_d.append(dout)
         margins.append(din - dout)

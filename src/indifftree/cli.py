@@ -6,9 +6,16 @@ directory, and exits 0 only when all checks pass.  Artifacts contain no
 timestamps and floats are written via ``repr``, so identical inputs
 produce identical bytes.
 
-Exit codes: 0 all checks within tolerance; 1 configuration error;
-2 check failure (the JSON carries the worst offender); 3 numerical
-failure (Newton non-convergence).
+Exit codes.  Every error type in ``errors.py`` maps to one of them and
+is reported as one stderr line, never as a traceback::
+
+    0  all checks within tolerance
+    1  configuration error                    ConfigError
+    2  check failure (the JSON carries the    NoArbitrageViolated,
+       worst offender) or arbitrage           NonMartingaleKernel
+    3  numerical or internal failure          NewtonConvergenceError,
+                                              TreeStructureError,
+                                              StoppingRuleError
 
 Config file schema (JSON object; unknown keys are rejected; command-line
 flags override file values)::
@@ -48,7 +55,7 @@ from . import asymptotics as asy
 from . import bsde as bsde_mod
 from .claims import claim_from_expression
 from .errors import (ConfigError, NewtonConvergenceError, NoArbitrageViolated,
-                     NonMartingaleKernel, TreeStructureError)
+                     NonMartingaleKernel, StoppingRuleError, TreeStructureError)
 from .lattice import (ClaimSpec, build_tree, gains, random_claim,
                       random_tree, validate_no_arbitrage)
 from .measures import minimal_entropy_measure, verify_entropy_structure
@@ -461,8 +468,8 @@ def main(argv=None) -> int:
     except (NoArbitrageViolated, NonMartingaleKernel) as exc:
         print(f"indifftree: arbitrage check failed: {exc}", file=sys.stderr)
         return 2
-    except NewtonConvergenceError as exc:
-        print(f"indifftree: numerical failure: {exc}", file=sys.stderr)
+    except (NewtonConvergenceError, TreeStructureError, StoppingRuleError) as exc:
+        print(f"indifftree: numerical or internal failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-
 from .errors import NoArbitrageViolated, StoppingRuleError, TreeStructureError
 from .tolerances import DEFAULT, Tolerances
 
@@ -434,6 +432,8 @@ def _relint_witness(ds: np.ndarray, tol: float) -> np.ndarray | None:
     optimum is positive exactly when 0 lies in the relative interior of
     the convex hull of the rows of ``ds``).
     """
+    from scipy.optimize import linprog
+
     k, d = ds.shape
     # variables (q_1..q_k, eps)
     c = np.zeros(k + 1)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._onestep import BatchResult, entropic_projection_batch
+from ._onestep import (ENTROPIC_FLOOR, _is_degenerate, entropic_projection_batch,
+                       group_rows, lse_newton, sweep_error)
 from .errors import NonMartingaleKernel, TreeStructureError
 from .lattice import ClaimSpec, EventTree
 from .tolerances import DEFAULT, NEWTON_MAX_ITER, Tolerances
@@ -170,34 +171,59 @@ def entropic_projection(p, ds, cost=None, *, tol: Tolerances = DEFAULT,
                              bool(res.degenerate[0]))
 
 
-def _entropic_sweep(tree: EventTree, terminal_cost: np.ndarray,
-                    tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Backward entropic recursion; returns (J, lam, q_edge, diagnostics)."""
-    n = tree.n_nodes
-    value = np.zeros(n)
-    value[tree.terminal_nodes] = terminal_cost
-    lam = np.zeros((n, tree.n_assets))
-    q_edge = np.zeros(n)
-    q_edge[0] = 1.0
-    total_iter = 0
-    max_resid = 0.0
+def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
+                    alphas=None):
+    """Backward entropic recursion for a batch of terminal-cost rows.
+
+    ``costs`` is (B, n_term); every (slice, k) group of the tree is one
+    kernel call over its B * m rows.  ``alphas`` (B,), when given, only
+    labels the rows in solver errors.  Returns per-row surfaces
+    ``(J (B, n), lam (B, n, d), q_edge (B, n))`` and the diagnostics
+    ``iterations`` and ``max_residual`` (B,) and ``degenerate_nodes``
+    (shared by all rows, since it depends on the increments only).
+    """
+    costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
+    nb = costs.shape[0]
+    if costs.shape != (nb, tree.terminal_nodes.size):
+        raise TreeStructureError("terminal cost must align with the terminal slice")
+    n, d = tree.n_nodes, tree.n_assets
+    value = np.zeros((nb, n))
+    value[:, tree.terminal_nodes] = costs
+    lam = np.zeros((nb, n, d))
+    q_edge = np.zeros((nb, n))
+    q_edge[:, 0] = 1.0
+    iterations = np.zeros(nb, dtype=np.int64)
+    max_resid = np.zeros(nb)
     degenerate = 0
-    groups = tree.groups()
     logp = np.log(tree.edge_prob)
+    groups = tree.groups()
     for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in groups[t].items():
-            res: BatchResult = entropic_projection_batch(
-                logp[ch], tree.dprice[ch], value[ch],
-                newton_tol=tol.newton, max_iter=NEWTON_MAX_ITER)
-            value[nodes] = res.value
-            lam[nodes] = res.multiplier
-            q_edge[ch] = res.q
-            total_iter += int(res.iterations.sum())
-            max_resid = max(max_resid, float(res.residual.max()))
-            degenerate += int(res.degenerate.sum())
-    diag = {"iterations": total_iter, "max_residual": max_resid,
+        for nodes, ch in groups[t].values():
+            m, k = ch.shape
+            ds = tree.dprice[ch]
+            degenerate += int(_is_degenerate(ds).sum())
+            rows = group_rows(ds, nb)
+            sol = lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
+                             floor=ENTROPIC_FLOOR, newton_tol=tol.newton,
+                             max_iter=NEWTON_MAX_ITER)
+            if sol.failed.any():
+                raise sweep_error("entropic", sol, rows, nodes, t, alphas)
+            value[:, nodes] = -sol.lse.reshape(nb, m)
+            lam[:, nodes] = sol.lam.reshape(nb, m, d)
+            q_edge[:, ch] = sol.w.reshape(nb, m, k)
+            iterations += sol.iterations.reshape(nb, m).sum(axis=1)
+            np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
+    diag = {"iterations": iterations, "max_residual": max_resid,
             "degenerate_nodes": degenerate}
     return value, lam, q_edge, diag
+
+
+def _entropy_result(tree, cost, value, lam, q_edge, diag, row, tol):
+    """Row ``row`` of an entropic sweep as an :class:`EntropyResult`."""
+    measure = MeasureProcess.from_edges(tree, q_edge[row], tol=tol)
+    return EntropyResult(measure, value[row], lam[row], float(np.exp(value[row, 0])),
+                         cost, int(diag["iterations"][row]),
+                         float(diag["max_residual"][row]), diag["degenerate_nodes"])
 
 
 def minimal_entropy_measure(tree: EventTree, terminal_cost=None, *,
@@ -215,18 +241,12 @@ def minimal_entropy_measure(tree: EventTree, terminal_cost=None, *,
     structure of the terminal density exactly (see
     :func:`verify_entropy_structure`).
     """
-    term = tree.terminal_nodes
-    if terminal_cost is None:
-        cost = np.zeros(term.size)
-    else:
-        cost = np.asarray(terminal_cost, dtype=np.float64)
-        if cost.shape != (term.size,):
-            raise TreeStructureError("terminal cost must align with the terminal slice")
-    value, lam, q_edge, diag = _entropic_sweep(tree, cost, tol)
-    measure = MeasureProcess.from_edges(tree, q_edge, tol=tol)
-    return EntropyResult(measure, value, lam, float(np.exp(value[0])), cost,
-                         diag["iterations"], diag["max_residual"],
-                         diag["degenerate_nodes"])
+    cost = np.zeros(tree.terminal_nodes.size) if terminal_cost is None else \
+        np.asarray(terminal_cost, dtype=np.float64)
+    if cost.ndim != 1:
+        raise TreeStructureError("terminal cost must align with the terminal slice")
+    sweep = _entropic_sweep(tree, cost, tol)
+    return _entropy_result(tree, cost, *sweep, 0, tol)
 
 
 def claim_tilted_measure(tree: EventTree, claim: ClaimSpec, alpha: float, *,

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-
 from .errors import NoArbitrageViolated, TreeStructureError
 from .lattice import ClaimSpec, EventTree
 from .tolerances import DEFAULT, Tolerances
@@ -97,6 +95,8 @@ def martingale_vertices(ds: np.ndarray) -> np.ndarray:
 
 def _lp_step(ds: np.ndarray, v: np.ndarray):
     """max_q q . v over the martingale polytope, via HiGHS."""
+    from scipy.optimize import linprog
+
     k, d = ds.shape
     scale = max(1.0, float(np.abs(ds).max()))
     a_eq = np.vstack([ds.T / scale, np.ones((1, k))])

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._onestep import exp_min_batch
+from ._onestep import HEDGE_FLOOR, exp_min_batch, group_rows, lse_newton, sweep_error
 from .errors import NonMartingaleKernel, TreeStructureError
 from .lattice import ClaimSpec, EventTree, gains, random_strategy, validate_stopping_rule
-from .measures import (EntropyResult, MeasureProcess, minimal_entropy_measure,
-                       node_probabilities)
+from .measures import (EntropyResult, MeasureProcess, _entropic_sweep, _entropy_result,
+                       minimal_entropy_measure)
 from .tolerances import DEFAULT, NEWTON_MAX_ITER, Tolerances
 
 __all__ = [
@@ -99,54 +99,73 @@ def one_step_primal(q, ds, cont, alpha, *, theta0=None,
     return float(res.value[0]), res.multiplier[0]
 
 
-def _primal_sweep(tree: EventTree, q_edge: np.ndarray, claim_values: np.ndarray,
-                  alpha: float, *, theta0=None, stop_members=None,
-                  stop_values=None, tol: Tolerances = DEFAULT):
-    """Backward exponential-hedging sweep under kernels ``q_edge``.
+def _primal_sweep(tree: EventTree, measure: MeasureProcess, claims: np.ndarray,
+                  alphas, *, theta0=None, stop_members=None, stop_values=None,
+                  tol: Tolerances = DEFAULT):
+    """Backward exponential-hedging sweep of a batch of claims under the
+    martingale measure ``measure``.
 
-    When a stopping rule is supplied the sweep treats its members as
-    terminal with the given values; nodes strictly after the rule are
-    flagged invalid in the returned mask.
+    ``claims`` is (B, n_term) terminal values and ``alphas`` (B,) the
+    positive per-row risk aversions; ``theta0`` is an optional (B, n, d)
+    warm start.  Every (slice, k) group of the tree is one kernel call over
+    its B * m rows.  When a stopping rule is supplied the sweep treats
+    its members as terminal with the given (B, len(members)) values;
+    nodes strictly after the rule are flagged invalid in the returned
+    mask.  Returns ``(values (B, n), theta (B, n, d), iterations (B,),
+    max_residual (B,), valid)``.
     """
-    n = tree.n_nodes
-    values = np.zeros(n)
-    values[tree.terminal_nodes] = claim_values
-    theta = np.zeros((n, tree.n_assets))
-    override = None
+    claims = np.atleast_2d(np.asarray(claims, dtype=np.float64))
+    nb = claims.shape[0]
+    alphas = np.broadcast_to(np.asarray(alphas, dtype=np.float64), (nb,))
+    if not np.all(alphas > 0):
+        raise ValueError("risk aversion must be positive")
+    if not measure.martingale:
+        raise NonMartingaleKernel("the valuation measure must be a martingale measure")
+    n, d = tree.n_nodes, tree.n_assets
+    values = np.zeros((nb, n))
+    values[:, tree.terminal_nodes] = claims
+    theta = np.zeros((nb, n, d))
+    stop_mask = np.zeros(n, dtype=bool)
     if stop_members is not None:
-        override = np.asarray(stop_members, dtype=np.int64)
-        values[override] = np.asarray(stop_values, dtype=np.float64)
-    logq = np.log(q_edge, out=np.full(n, -np.inf), where=q_edge > 0)
-    total_iter = 0
-    max_resid = 0.0
+        members = np.asarray(stop_members, dtype=np.int64)
+        stop_mask[members] = True
+        stop = np.zeros((nb, n))
+        stop[:, members] = stop_values
+        values[:, members] = stop[:, members]
+    logq = np.log(measure.edge_prob)
+    iterations = np.zeros(nb, dtype=np.int64)
+    max_resid = np.zeros(nb)
     groups = tree.groups()
     for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in groups[t].items():
-            res = exp_min_batch(
-                logq[ch], tree.dprice[ch], values[ch], alpha,
-                newton_tol=tol.newton, max_iter=NEWTON_MAX_ITER,
-                theta0=None if theta0 is None else theta0[nodes])
-            values[nodes] = res.value
-            theta[nodes] = res.multiplier
-            total_iter += int(res.iterations.sum())
-            max_resid = max(max_resid, float(res.residual.max()))
-        if override is not None:
-            in_slice = override[(override >= tree.slice_nodes(t)[0])
-                                & (override <= tree.slice_nodes(t)[-1])]
-            values[in_slice] = np.asarray(stop_values)[np.isin(override, in_slice)]
+        for nodes, ch in groups[t].values():
+            m, k = ch.shape
+            rows = group_rows(tree.dprice[ch], nb)
+            lam0 = None if theta0 is None else \
+                (-alphas[:, None, None] * theta0[:, nodes]).reshape(nb * m, d)
+            a = (logq[ch] + alphas[:, None, None] * values[:, ch]).reshape(nb * m, k)
+            sol = lse_newton(a, rows, lam0, floor=HEDGE_FLOOR,
+                             newton_tol=tol.newton, max_iter=NEWTON_MAX_ITER)
+            if sol.failed.any():
+                raise sweep_error("primal", sol, rows, nodes, t, alphas)
+            values[:, nodes] = sol.lse.reshape(nb, m) / alphas[:, None]
+            theta[:, nodes] = sol.lam.reshape(nb, m, d) / -alphas[:, None, None]
+            iterations += sol.iterations.reshape(nb, m).sum(axis=1)
+            np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
+        if stop_members is not None:
+            in_slice = tree.slice_nodes(t)
+            in_slice = in_slice[stop_mask[in_slice]]
+            values[:, in_slice] = stop[:, in_slice]
     valid = None
-    if override is not None:
+    if stop_members is not None:
         after = np.zeros(n, dtype=bool)
-        stop_mask = np.zeros(n, dtype=bool)
-        stop_mask[override] = True
         for t in range(1, tree.horizon + 1):
             nodes = tree.slice_nodes(t)
             par = tree.parent[nodes]
             after[nodes] = after[par] | stop_mask[par]
-        values[after] = np.nan
-        theta[after] = np.nan
+        values[:, after] = np.nan
+        theta[:, after] = np.nan
         valid = ~after
-    return values, theta, total_iter, max_resid, valid
+    return values, theta, iterations, max_resid, valid
 
 
 def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
@@ -172,12 +191,11 @@ def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
         raise ValueError("risk aversion must be positive")
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    if not measure.martingale:
-        raise NonMartingaleKernel("the valuation measure must be a martingale measure")
     values, theta, iters, resid, _ = _primal_sweep(
-        tree, measure.edge_prob, claim.values, alpha, theta0=theta0, tol=tol)
-    return ValuationResult(ValuationSurface(values, alpha, "primal"),
-                           theta, iters, resid)
+        tree, measure, claim.values, alpha,
+        theta0=None if theta0 is None else np.asarray(theta0)[None], tol=tol)
+    return ValuationResult(ValuationSurface(values[0], alpha, "primal"),
+                           theta[0], int(iters[0]), float(resid[0]))
 
 
 def dual_surface(tree: EventTree, claim: ClaimSpec, alpha: float, *,
@@ -187,12 +205,15 @@ def dual_surface(tree: EventTree, claim: ClaimSpec, alpha: float, *,
     The claim leg runs with terminal cost ``-alpha * B`` (its optimal
     kernels form the claim-tilted measure), the zero leg with zero cost
     (minimal entropy measure); the surface is their scaled difference.
+    Both legs run as one batched sweep.
     """
     alpha = float(alpha)
     if alpha <= 0:
         raise ValueError("risk aversion must be positive")
-    zero_leg = minimal_entropy_measure(tree, tol=tol)
-    claim_leg = minimal_entropy_measure(tree, -alpha * claim.values, tol=tol)
+    costs = np.stack([np.zeros_like(claim.values), -alpha * claim.values])
+    sweep = _entropic_sweep(tree, costs, tol, alphas=(alpha, alpha))
+    zero_leg, claim_leg = (_entropy_result(tree, costs[j], *sweep, j, tol)
+                           for j in range(2))
     values = (zero_leg.value_surface - claim_leg.value_surface) / alpha
     return DualResult(ValuationSurface(values, alpha, "dual"), zero_leg, claim_leg)
 
@@ -220,9 +241,11 @@ class PropertyReport:
         return self.worst() >= -tol
 
 
-def _surface(tree, values, alpha, measure, theta0=None, tol=DEFAULT):
-    return _primal_sweep(tree, measure.edge_prob, values, alpha,
-                         theta0=theta0, tol=tol)[0]
+def _surfaces(tree, measure, rows, tol=DEFAULT):
+    """Value surfaces (B, n) of ``rows``, a list of (terminal values,
+    alpha) pairs, priced in one batched primal sweep."""
+    claims, alphas = zip(*rows)
+    return _primal_sweep(tree, measure, np.stack(claims), alphas, tol=tol)[0]
 
 
 def _time_measurable(tree: EventTree, t: int, rng, low=0.0, high=1.0):
@@ -259,56 +282,49 @@ def property_checks(tree: EventTree, claim: ClaimSpec, alpha: float,
         measure = minimal_entropy_measure(tree, tol=tol).measure
     term = tree.terminal_nodes
     b = claim.values
-    rep = PropertyReport(alpha=float(alpha))
-    c_base = _surface(tree, b, alpha, measure, tol=tol)
-
-    # bounds
-    rep.margins["bounds"] = float(np.min(claim.sup_norm - np.abs(c_base)))
-
-    # monotonicity in the claim
+    # every random input is drawn before the one batched sweep
     bump = rng.uniform(0.0, 0.8, size=term.size)
-    c_up = _surface(tree, b + bump, alpha, measure, tol=tol)
-    rep.margins["monotone_claim"] = float(np.min(c_up - c_base))
-
-    # node-wise convexity with time-measurable weights
-    worst = np.inf
+    mixes = []
     for _ in range(n_convexity):
         other = rng.uniform(-1.0, 1.0, size=term.size) * max(1.0, claim.sup_norm)
         t_mix = int(rng.integers(0, tree.horizon))
-        lam_surface = _time_measurable(tree, t_mix, rng)
+        mixes.append((other, t_mix, _time_measurable(tree, t_mix, rng)))
+    t_pay = int(rng.integers(0, tree.horizon + 1))
+    x = _time_measurable(tree, t_pay, rng, -1.0, 1.0)
+    beta = float(rng.uniform(0.3, 2.5))
+    alpha_hi = alpha * float(rng.uniform(1.5, 4.0))
+    g_lo = float(rng.uniform(0.2, 0.9))
+    g_hi = float(rng.uniform(1.1, 3.0))
+
+    rows = [(b, alpha), (b + bump, alpha)]
+    for other, _, lam_surface in mixes:
         lam_term = lam_surface[term]
-        c_other = _surface(tree, other, alpha, measure, tol=tol)
-        c_mix = _surface(tree, lam_term * b + (1 - lam_term) * other, alpha,
-                         measure, tol=tol)
+        rows += [(other, alpha), (lam_term * b + (1 - lam_term) * other, alpha)]
+    rows += [(b + x[term], alpha), (beta * b, alpha), (b, beta * alpha),
+             (b, alpha_hi), (g_lo * b, alpha), (g_hi * b, alpha)]
+    c = _surfaces(tree, measure, rows, tol)
+    c_base, c_up = c[0], c[1]
+    c_shift, lhs, c_beta, c_hi, c_glo, c_ghi = c[2 + 2 * n_convexity:]
+
+    rep = PropertyReport(alpha=float(alpha))
+    rep.margins["bounds"] = float(np.min(claim.sup_norm - np.abs(c_base)))
+    rep.margins["monotone_claim"] = float(np.min(c_up - c_base))
+    # node-wise convexity with time-measurable weights
+    worst = np.inf
+    for j, (_, t_mix, lam_surface) in enumerate(mixes):
+        c_other, c_mix = c[2 + 2 * j], c[3 + 2 * j]
         from_t = tree.times >= t_mix
         gap = (lam_surface * c_base + (1 - lam_surface) * c_other - c_mix)[from_t]
         worst = min(worst, float(np.min(gap)))
     rep.margins["convexity"] = worst
-
     # translation by a time-t payment
-    t_pay = int(rng.integers(0, tree.horizon + 1))
-    x = _time_measurable(tree, t_pay, rng, -1.0, 1.0)
-    c_shift = _surface(tree, b + x[term], alpha, measure, tol=tol)
     from_t = tree.times >= t_pay
     rep.margins["translation"] = -float(
         np.max(np.abs((c_shift - c_base - x)[from_t])))
-
     # volume scaling against risk aversion
-    beta = float(rng.uniform(0.3, 2.5))
-    lhs = _surface(tree, beta * b, alpha, measure, tol=tol)
-    rhs = beta * _surface(tree, b, beta * alpha, measure, tol=tol)
-    rep.margins["volume_scaling"] = -float(np.max(np.abs(lhs - rhs)))
-
-    # monotone in risk aversion
-    alpha_hi = alpha * float(rng.uniform(1.5, 4.0))
-    c_hi = _surface(tree, b, alpha_hi, measure, tol=tol)
+    rep.margins["volume_scaling"] = -float(np.max(np.abs(lhs - beta * c_beta)))
     rep.margins["monotone_alpha"] = float(np.min(c_hi - c_base))
-
     # transfer of a fraction of the claim
-    g_lo = float(rng.uniform(0.2, 0.9))
-    g_hi = float(rng.uniform(1.1, 3.0))
-    c_glo = _surface(tree, g_lo * b, alpha, measure, tol=tol)
-    c_ghi = _surface(tree, g_hi * b, alpha, measure, tol=tol)
     rep.margins["gamma_transfer"] = float(min(
         np.min(g_lo * c_base - c_glo), np.min(c_ghi - g_hi * c_base)))
     return rep
@@ -343,22 +359,25 @@ def arbitrage_bounds_check(tree: EventTree, claim: ClaimSpec, alpha: float,
 
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    c = _surface(tree, claim.values, alpha, measure, tol=tol)
+    rng = np.random.default_rng(seed + 4_242)
+    term = tree.terminal_nodes
+    strategy_gains = [gains(tree, random_strategy(
+        tree, int(rng.integers(0, 2 ** 31)), scale=0.7)) for _ in range(n_strategies)]
+    rows = [(claim.values, alpha)]
+    for g in strategy_gains:
+        rows += [(g[term], alpha), (claim.values + g[term], alpha)]
+    surfaces = _surfaces(tree, measure, rows, tol)
+    c = surfaces[0]
     upper = superrep_surface(tree, claim, tol=tol).values
     lower = -superrep_surface(tree, ClaimSpec(-claim.values), tol=tol).values
     lower_margin = float(np.min(c - lower))
     upper_margin = float(np.min(upper - c))
 
-    rng = np.random.default_rng(seed + 4_242)
     worst_ann = 0.0
     worst_att = 0.0
-    for j in range(n_strategies):
-        theta = random_strategy(tree, int(rng.integers(0, 2 ** 31)), scale=0.7)
-        g = gains(tree, theta)
-        c_gain = _surface(tree, g[tree.terminal_nodes], alpha, measure, tol=tol)
+    for j, g in enumerate(strategy_gains):
+        c_gain, c_shift = surfaces[1 + 2 * j], surfaces[2 + 2 * j]
         worst_att = max(worst_att, float(np.max(np.abs(c_gain - g))))
-        c_shift = _surface(tree, claim.values + g[tree.terminal_nodes], alpha,
-                           measure, tol=tol)
         worst_ann = max(worst_ann, float(np.max(np.abs(c_shift - c - g))))
     return BoundsReport(lower_margin, upper_margin, worst_ann, worst_att)
 
@@ -378,12 +397,11 @@ def time_consistency_check(tree: EventTree, claim: ClaimSpec, alpha: float,
     earlier = validate_stopping_rule(tree, earlier)
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    full = _surface(tree, claim.values, alpha, measure, tol=tol)
-    inner = full[later]
+    full = _surfaces(tree, measure, [(claim.values, alpha)], tol)[0]
     stopped, _, _, _, valid = _primal_sweep(
-        tree, measure.edge_prob, claim.values, alpha,
-        stop_members=later, stop_values=inner, tol=tol)
-    return float(np.max(np.abs((stopped - full)[valid])))
+        tree, measure, claim.values, alpha,
+        stop_members=later, stop_values=full[later], tol=tol)
+    return float(np.max(np.abs((stopped[0] - full)[valid])))
 
 
 @dataclass

@@ -1,0 +1,211 @@
+"""The batched sweep engine.
+
+A batch of claims and risk aversions swept at once must equal the same
+rows swept one at a time, and every caller that prices its surfaces in
+one batch must match the per-sweep loop it replaced; the loops below
+are the oracles.  Also guards the names the benchmark's probes call.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from indifftree import (ClaimSpec, arbitrage_bounds_check, asymptotics,
+                        claim_from_expression, continuity_in_B, dual_surface,
+                        indifference_surface, lipschitz_in_alpha,
+                        minimal_entropy_measure, property_checks, random_claim,
+                        random_tree, small_alpha_sweep, valuation)
+from indifftree.errors import NewtonConvergenceError
+from indifftree.lattice import EventTree
+from indifftree.measures import _entropic_sweep
+from indifftree.tolerances import DEFAULT
+from indifftree.valuation import _primal_sweep, _time_measurable
+from conftest import corpus_instance
+
+ALPHAS = (1e-6, 0.25, 1.0, 8.0)
+# (depth, branching, assets): one to three assets, mixed branching and
+# branching 8
+SHAPES = [(3, (2, 4), 1), (3, (2, 4), 2), (3, (2, 4), 3),
+          (2, 8, 1), (2, 8, 2), (2, 8, 3)]
+
+
+def _claims(tree, n, seed):
+    return np.stack([random_claim(tree, seed=seed + j).values for j in range(n)])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_batched_primal_sweep_equals_row_sweeps(shape):
+    tree = random_tree(*shape, seed=7)
+    measure = minimal_entropy_measure(tree).measure
+    claims = _claims(tree, len(ALPHAS), 100)
+    values, theta, iters, _, _ = _primal_sweep(tree, measure, claims, ALPHAS)
+    for b, alpha in enumerate(ALPHAS):
+        v1, th1, it1, _, _ = _primal_sweep(tree, measure, claims[b], alpha)
+        assert np.abs(values[b] - v1[0]).max() <= 1e-13
+        assert np.abs(theta[b] - th1[0]).max() <= 1e-13
+        assert iters[b] == it1[0]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_batched_entropic_sweep_equals_row_sweeps(shape):
+    tree = random_tree(*shape, seed=7)
+    costs = -np.asarray(ALPHAS)[:, None] * _claims(tree, len(ALPHAS), 200)
+    value, lam, q_edge, diag = _entropic_sweep(tree, costs, DEFAULT)
+    for b in range(len(ALPHAS)):
+        v1, lam1, q1, diag1 = _entropic_sweep(tree, costs[b], DEFAULT)
+        assert np.abs(value[b] - v1[0]).max() <= 1e-13
+        assert np.abs(lam[b] - lam1[0]).max() <= 1e-13
+        assert np.abs(q_edge[b] - q1[0]).max() <= 1e-13
+        assert diag["iterations"][b] == diag1["iterations"][0]
+
+
+# ---------------------------------------------------------------------------
+# callers against their per-sweep loops
+
+
+def _surface(tree, values, alpha, measure):
+    return indifference_surface(tree, ClaimSpec(values), alpha, measure).surface.values
+
+
+def _loop_surfaces(tree, measure, rows, tol=DEFAULT):
+    """One primal sweep per (terminal values, alpha) row."""
+    return np.stack([indifference_surface(tree, ClaimSpec(v), a, measure, tol=tol)
+                     .surface.values for v, a in rows])
+
+
+def property_checks_loop(tree, claim, alpha, measure, *, seed=0, n_convexity=3):
+    """The property battery with one sweep per surface, drawing its random
+    inputs between the sweeps."""
+    rng = np.random.default_rng(seed + 2_024)
+    term = tree.terminal_nodes
+    b = claim.values
+    margins = {}
+    c_base = _surface(tree, b, alpha, measure)
+    margins["bounds"] = float(np.min(claim.sup_norm - np.abs(c_base)))
+    bump = rng.uniform(0.0, 0.8, size=term.size)
+    margins["monotone_claim"] = float(np.min(
+        _surface(tree, b + bump, alpha, measure) - c_base))
+    worst = np.inf
+    for _ in range(n_convexity):
+        other = rng.uniform(-1.0, 1.0, size=term.size) * max(1.0, claim.sup_norm)
+        t_mix = int(rng.integers(0, tree.horizon))
+        lam_surface = _time_measurable(tree, t_mix, rng)
+        lam_term = lam_surface[term]
+        c_other = _surface(tree, other, alpha, measure)
+        c_mix = _surface(tree, lam_term * b + (1 - lam_term) * other, alpha, measure)
+        from_t = tree.times >= t_mix
+        gap = (lam_surface * c_base + (1 - lam_surface) * c_other - c_mix)[from_t]
+        worst = min(worst, float(np.min(gap)))
+    margins["convexity"] = worst
+    t_pay = int(rng.integers(0, tree.horizon + 1))
+    x = _time_measurable(tree, t_pay, rng, -1.0, 1.0)
+    c_shift = _surface(tree, b + x[term], alpha, measure)
+    from_t = tree.times >= t_pay
+    margins["translation"] = -float(np.max(np.abs((c_shift - c_base - x)[from_t])))
+    beta = float(rng.uniform(0.3, 2.5))
+    lhs = _surface(tree, beta * b, alpha, measure)
+    rhs = beta * _surface(tree, b, beta * alpha, measure)
+    margins["volume_scaling"] = -float(np.max(np.abs(lhs - rhs)))
+    alpha_hi = alpha * float(rng.uniform(1.5, 4.0))
+    margins["monotone_alpha"] = float(np.min(
+        _surface(tree, b, alpha_hi, measure) - c_base))
+    g_lo = float(rng.uniform(0.2, 0.9))
+    g_hi = float(rng.uniform(1.1, 3.0))
+    c_glo = _surface(tree, g_lo * b, alpha, measure)
+    c_ghi = _surface(tree, g_hi * b, alpha, measure)
+    margins["gamma_transfer"] = float(min(
+        np.min(g_lo * c_base - c_glo), np.min(c_ghi - g_hi * c_base)))
+    return margins
+
+
+@pytest.mark.parametrize("i", [0, 3, 8, 21])
+def test_property_checks_match_loop(i):
+    tree, claim = corpus_instance(i)
+    measure = minimal_entropy_measure(tree).measure
+    for alpha in (0.25, 4.0):
+        batched = property_checks(tree, claim, alpha, measure, seed=i).margins
+        loop = property_checks_loop(tree, claim, alpha, measure, seed=i)
+        assert batched.keys() == loop.keys()
+        for name in loop:
+            assert abs(batched[name] - loop[name]) <= 1e-12, name
+
+
+def test_small_alpha_sweep_matches_loop(tree11, call11, entropy11, monkeypatch):
+    grid = [2.0 ** (-k) for k in range(8, -1, -1)]
+    batched = small_alpha_sweep(tree11, call11, grid, entropy11.measure)
+    monkeypatch.setattr(asymptotics, "_surfaces", _loop_surfaces)
+    loop = small_alpha_sweep(tree11, call11, grid, entropy11.measure)
+    assert batched.columns.keys() == loop.columns.keys()
+    for name, col in loop.columns.items():
+        assert np.abs(np.subtract(batched.columns[name], col)).max() <= 1e-12, name
+
+
+def test_alpha_and_claim_batches_match_loop(tree11, call11, entropy11, monkeypatch):
+    measure = entropy11.measure
+    perturbed = [ClaimSpec(call11.values + d) for d in (0.01, -0.05)]
+
+    def run():
+        return (lipschitz_in_alpha(tree11, call11, n_pairs=10, measure=measure),
+                continuity_in_B(tree11, call11, perturbed, measure=measure),
+                arbitrage_bounds_check(tree11, call11, 1.0, measure))
+
+    batched = run()
+    monkeypatch.setattr(asymptotics, "_surfaces", _loop_surfaces)
+    monkeypatch.setattr(valuation, "_surfaces", _loop_surfaces)
+    loop = run()
+    assert np.allclose(batched[0]["khat"], loop[0]["khat"], rtol=0, atol=1e-9)
+    assert np.allclose(batched[1]["output_dist"], loop[1]["output_dist"],
+                       rtol=0, atol=1e-12)
+    for name in ("lower_margin", "upper_margin", "annihilation_residual",
+                 "attainable_residual"):
+        assert abs(getattr(batched[2], name) - getattr(loop[2], name)) <= 1e-12
+
+
+@pytest.mark.parametrize("i", [0, 3, 8, 21])
+def test_dual_surface_matches_two_leg_loop(i):
+    tree, claim = corpus_instance(i)
+    for alpha in (0.25, 4.0):
+        zero = minimal_entropy_measure(tree)
+        leg = minimal_entropy_measure(tree, -alpha * claim.values)
+        loop = (zero.value_surface - leg.value_surface) / alpha
+        dual = dual_surface(tree, claim, alpha)
+        assert np.abs(dual.surface.values - loop).max() <= 1e-12
+        assert np.abs(dual.claim_leg.measure.edge_prob
+                      - leg.measure.edge_prob).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# errors and the benchmark's names
+
+
+def test_solver_error_names_node_slice_and_alpha():
+    # D5: a duplicated asset makes the increments rank deficient and the
+    # claim leg stalls just above its floor; the stall itself is still open
+    base = random_tree(3, 3, 2, seed=5)
+    tree = EventTree(base.times, base.parent,
+                     np.hstack([base.prices, base.prices[:, :1]]), base.edge_prob)
+    claim = claim_from_expression(tree, "call(S1, 1) + put(S3, 0.9)")
+    with pytest.raises(NewtonConvergenceError,
+                       match=r"^entropic .* at node 12 \(slice 2, alpha=2\.0\)$"):
+        dual_surface(tree, claim, 2.0)
+
+
+def test_benchmark_probe_names_resolve():
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        import probes
+        import workloads
+    finally:
+        sys.path.remove(str(perfbench))
+    from indifftree import _onestep
+
+    for m, k, d in probes.KERNEL_SHAPES:
+        q, ds, v = probes.kernel_inputs(0, m, k, d)
+        assert _onestep.exp_min_batch(np.log(q), ds, v, 1.0).value.shape == (m,)
+        assert _onestep.entropic_projection_batch(np.log(q), ds, v).q.shape == (m, k)
+        assert _onestep.gkw_batch(q, ds, v)[1].shape == (m, d)
+    for ns, attr, _ in workloads.CLI_LAYER_CALLS:
+        assert callable(getattr(ns, attr)), attr

@@ -1,10 +1,17 @@
 """Batch runner: exit codes, artifact determinism, config validation."""
 
 import csv
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import indifftree
+from indifftree import errors
 from indifftree.cli import RunConfig, main
 from indifftree.errors import ConfigError, NewtonConvergenceError
 
@@ -120,6 +127,45 @@ def test_newton_failure_maps_to_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli_mod._COMMANDS, "price", boom)
     assert main(["price", *BASE, "--out", str(tmp_path)]) == 3
+
+
+# the documented exit code of every error type in errors.py
+EXIT_CODES = {"ConfigError": 1, "NoArbitrageViolated": 2,
+              "NonMartingaleKernel": 2, "NewtonConvergenceError": 3,
+              "TreeStructureError": 3, "StoppingRuleError": 3}
+
+
+def test_every_error_type_has_its_exit_code(tmp_path, monkeypatch, capsys):
+    from indifftree import cli as cli_mod
+
+    types = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+             if issubclass(c, Exception) and c.__module__ == errors.__name__]
+    assert sorted(c.__name__ for c in types) == sorted(EXIT_CODES)
+    for exc in types:
+        def boom(cfg, tol, exc=exc):
+            raise exc("boom")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "price", boom)
+        assert main(["price", *BASE, "--out", str(tmp_path)]) == \
+            EXIT_CODES[exc.__name__], exc.__name__
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.rstrip().endswith("boom")
+
+
+def test_dual_underflow_at_large_alpha_is_exit_3(tmp_path, capsys):
+    # D2: the claim-tilted kernels underflow and the measure is rejected
+    assert main(["price", "--seed", "3", "--depth", "4", "--branching", "3",
+                 "--alpha", "1000", "--out", str(tmp_path)]) == 3
+    assert "strictly positive" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = ("import sys, indifftree, indifftree.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(indifftree.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_claim_values_length_checked(tmp_path):
