@@ -100,23 +100,26 @@ def _is_degenerate(ds):
     return sv[:, -1] <= 1e-12 * scale
 
 
-def _feasible_martingale_kernel_exists(ds_row):
-    """LP feasibility: strictly positive kernel with zero increment mean."""
+def relint_witness(ds_row):
+    """Strictly positive kernel q with q @ ds = 0, or None: the one LP.
+
+    max eps  s.t.  q >= eps, sum q = 1, ds' q = 0  on the increments
+    scaled by max(1, |ds|_inf); ``scipy.optimize`` loads on first use.
+    """
     from scipy.optimize import linprog
 
     k, d = ds_row.shape
     scale = max(1.0, float(np.abs(ds_row).max()))
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
     a_eq = np.zeros((d + 1, k + 1))
-    a_eq[:d, :k] = (ds_row / scale).T
-    a_eq[d, :k] = 1.0
-    b_eq = np.zeros(d + 1)
-    b_eq[d] = 1.0
-    a_ub = np.hstack([-np.eye(k), np.ones((k, 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * (k + 1), method="highs")
-    return bool(res.success and res.x[-1] > 1e-11)
+    a_eq[:d, :k], a_eq[d, :k] = (ds_row / scale).T, 1.0
+    a_ub = np.hstack([-np.eye(k), np.ones((k, 1))])  # eps - q_i <= 0
+    res = linprog(-np.eye(k + 1)[k], A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq,
+                  b_eq=np.eye(d + 1)[d], bounds=[(None, None)] * (k + 1), method="highs")
+    if not res.success or res.x[-1] <= 1e-11:
+        return None
+    # HiGHS meets the equalities only to 1e-7; keep kernels that are exact
+    q, drift = martingale_part(res.x[None, :k], ds_row[None] / scale)
+    return q[0] if drift[0] <= 1e-12 and q.min() > 0.0 else None
 
 
 def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
@@ -196,6 +199,19 @@ def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
     return LseSolution(w, lam, lse, iters, resid, failed)
 
 
+def martingale_part(w, ds):
+    """Rows of w moved onto {q : sum q = 1, q . ds = 0} by the minimal-norm
+    step, and the sup norm of q . ds left (the set may be empty).  A weight
+    that must vanish but hid inside a residual tolerance shows as q <= 0."""
+    aug = np.concatenate([ds, np.ones_like(ds[:, :, :1])], axis=2)
+    gap = np.einsum("mk,mkj->mj", w, aug)
+    gap[:, -1] -= 1.0  # sum w - 1
+    # pinv of the increments themselves: their Gram matrix would square
+    # the condition number and drop increments below ~3e-8
+    q = w - np.einsum("mjk,mj->mk", np.linalg.pinv(aug), gap)
+    return q, np.abs(np.einsum("mk,mkd->md", q, ds)).max(axis=1)
+
+
 def group_rows(x, nb):
     """Tile a sweep group's array over a batch axis: (m, ...) -> (nb * m, ...)."""
     return np.broadcast_to(x, (nb, *x.shape)).reshape(nb * x.shape[0], *x.shape[1:])
@@ -209,7 +225,7 @@ def unsolved_error(route, sol, ds, where):
     kernel is an arbitrage, not a solver failure.
     """
     r = int(np.flatnonzero(sol.failed)[0])
-    if route == "entropic" and not _feasible_martingale_kernel_exists(ds[r]):
+    if route == "entropic" and relint_witness(ds[r]) is None:
         return NoArbitrageViolated(
             f"no strictly positive martingale kernel exists at {where(r)}")
     return NewtonConvergenceError(

@@ -169,7 +169,7 @@ def _cmd_validate(cfg, tol):
             for i in nonterm]
     bad = [int(i) for i in nonterm if not report.node_ok[i]]
     summary = {"ok": report.ok, "n_nodes": tree.n_nodes,
-               "failing_nodes": bad}
+               "failing_nodes": bad, "lp_nodes": int(report.lp_nodes.size)}
     if bad:
         summary["failure"] = {"check": "no_arbitrage", "node": bad[0]}
     return (0 if report.ok else 2), rows, \

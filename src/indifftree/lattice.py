@@ -14,10 +14,12 @@ a compact recombining representation of a two-factor basis-risk model
 used for step-refinement studies.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
+
+from ._onestep import lse_newton, martingale_part, relint_witness
 from .errors import NoArbitrageViolated, StoppingRuleError, TreeStructureError
 from .tolerances import DEFAULT, Tolerances
 
@@ -99,15 +101,9 @@ class EventTree:
 
         child_count = np.zeros(n, dtype=np.int64)
         np.add.at(child_count, parent[1:], 1)
-        child_start = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            first = np.full(n, -1, dtype=np.int64)
-            idx = np.arange(1, n)
-            # first occurrence of each parent in the sorted parent list
-            seen = np.ones(n - 1, dtype=bool)
-            seen[1:] = parent[2:] != parent[1:-1]
-            first[parent[idx[seen]]] = idx[seen]
-            child_start = np.where(child_count > 0, first, 0)
+        # first occurrence of each node in the sorted parent list
+        first = np.searchsorted(parent[1:], np.arange(n)) + 1
+        child_start = np.where(child_count > 0, first, 0)
 
         horizon = int(times.max())
         interior = times < horizon
@@ -184,10 +180,6 @@ class EventTree:
                 out.append(byk)
             self._groups = out
         return self._groups
-
-    def reference_kernels(self) -> list[np.ndarray]:
-        """Per-node kernels of the reference measure (empty at leaves)."""
-        return [self.edge_prob[self.children_of(i)] for i in range(self.n_nodes)]
 
     def __repr__(self):  # pragma: no cover
         return (f"EventTree(nodes={self.n_nodes}, horizon={self.horizon}, "
@@ -406,50 +398,31 @@ def build_tree(spec: dict, *, tol: Tolerances = DEFAULT) -> EventTree:
 # arbitrage validation
 
 
+# every weight of a certified witness exceeds this (the LP accepts 1e-11)
+WITNESS_FLOOR = 1e-9
+
+
 @dataclass
 class NoArbitrageReport:
     """Outcome of the one-step arbitrage scan.
 
     ``ok`` is True iff every non-terminal node admits a strictly positive
-    martingale kernel; ``witness[i]`` stores one such kernel.
+    martingale kernel; ``witness[i]`` stores one such kernel.  The LP
+    decided the nodes ``lp_nodes``; ``times`` are the node times.
     """
 
     ok: bool
     node_ok: np.ndarray
     witness: list
+    lp_nodes: np.ndarray
+    times: np.ndarray
 
     def require(self):
         if not self.ok:
             bad = int(np.flatnonzero(~self.node_ok)[0])
-            raise NoArbitrageViolated(f"one-step arbitrage at node {bad}")
+            raise NoArbitrageViolated(
+                f"one-step arbitrage at node {bad} (slice {int(self.times[bad])})")
         return self
-
-
-def _relint_witness(ds: np.ndarray, tol: float) -> np.ndarray | None:
-    """Strictly positive kernel q with q @ ds = 0, or None.
-
-    Solves  max eps  s.t.  q >= eps, sum q = 1, ds' q = 0  (an LP whose
-    optimum is positive exactly when 0 lies in the relative interior of
-    the convex hull of the rows of ``ds``).
-    """
-    from scipy.optimize import linprog
-
-    k, d = ds.shape
-    # variables (q_1..q_k, eps)
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((d + 1, k + 1))
-    a_eq[:d, :k] = ds.T
-    a_eq[d, :k] = 1.0
-    b_eq = np.zeros(d + 1)
-    b_eq[d] = 1.0
-    a_ub = np.hstack([-np.eye(k), np.ones((k, 1))])  # eps - q_i <= 0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * k + [(None, None)], method="highs")
-    if not res.success or res.x[-1] <= tol:
-        return None
-    q = np.clip(res.x[:k], 0.0, None)
-    return q / q.sum()
 
 
 def validate_no_arbitrage(tree: EventTree, *, tol: Tolerances = DEFAULT) -> NoArbitrageReport:
@@ -457,22 +430,32 @@ def validate_no_arbitrage(tree: EventTree, *, tol: Tolerances = DEFAULT) -> NoAr
 
     A node is sound iff zero lies in the relative interior of the convex
     hull of its child price increments, i.e. iff it carries a strictly
-    positive martingale kernel.  The witness kernels are returned for
-    reuse in tests.
+    positive martingale kernel.  Each (slice, k) group is one entropic
+    kernel call on log p and the increments scaled by max(1, |ds|_inf).
+    Its converged weights, moved onto the martingale kernels, certify a
+    node when all exceed ``WITNESS_FLOOR``; only the other nodes solve
+    the LP (importing scipy).  Sound random trees converge within 17
+    Newton steps, so the kernel gets 30.
     """
-    n = tree.n_nodes
-    node_ok = np.ones(n, dtype=bool)
-    witness: list = [None] * n
-    for t in range(tree.horizon):
-        for i in tree.slice_nodes(t):
-            ds = tree.increments(i)
-            scale = max(1.0, float(np.abs(ds).max()))
-            w = _relint_witness(ds / scale, 1e-11)
-            if w is None:
-                node_ok[i] = False
-            else:
+    node_ok = np.ones(tree.n_nodes, dtype=bool)
+    witness: list = [None] * tree.n_nodes
+    logp = np.log(tree.edge_prob)
+    undecided = [np.zeros(0, dtype=np.int64)]
+    for byk in tree.groups():
+        for nodes, ch in byk.values():
+            ds = tree.dprice[ch]
+            ds = ds / np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))[:, None, None]
+            sol = lse_newton(logp[ch], ds, floor=0.0, max_iter=30)
+            q, drift = martingale_part(sol.w, ds)
+            ok = ~sol.failed & (drift <= 1e-12) & (q.min(axis=1) > WITNESS_FLOOR)
+            for i, w in zip(nodes[ok].tolist(), q[ok]):
                 witness[i] = w
-    return NoArbitrageReport(bool(node_ok.all()), node_ok, witness)
+            undecided.append(nodes[~ok])
+    lp_nodes = np.sort(np.concatenate(undecided))
+    for i in lp_nodes.tolist():
+        witness[i] = relint_witness(tree.increments(i))
+        node_ok[i] = witness[i] is not None
+    return NoArbitrageReport(bool(node_ok.all()), node_ok, witness, lp_nodes, tree.times)
 
 
 # ---------------------------------------------------------------------------
