@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import bmo_norms, bsde_scheme, exact_decomposition
+from .bsde import _bmo_sq, bmo_norms, bsde_scheme, exact_decomposition
 from .errors import ConfigError
 from .lattice import ClaimSpec, EventTree, gains, random_stopping_rule
 from .measures import (MeasureProcess, expected_remaining,
@@ -121,13 +121,9 @@ def claim_projection(tree: EventTree, claim: ClaimSpec,
 
 def bracket_weights(tree: EventTree, measure: MeasureProcess) -> np.ndarray:
     """Per-node conditional increment covariance E[dS dS^T | node]."""
-    w = np.zeros((tree.n_nodes, tree.n_assets, tree.n_assets))
-    q = measure.edge_prob
-    for t in range(tree.horizon):
-        for _k, (nodes, ch) in tree.groups()[t].items():
-            w[nodes] = np.einsum("mk,mki,mkj->mij",
-                                 q[ch], tree.dprice[ch], tree.dprice[ch])
-    return w
+    ds = tree.dprice
+    edge = np.einsum("n,ni,nj->nij", measure.edge_prob, ds, ds)
+    return tree.reduce_children(np.add, edge)
 
 
 def weighted_norm_identity(tree: EventTree, measure: MeasureProcess,
@@ -197,22 +193,6 @@ def compensator_identity_residual(tree: EventTree, claim: ClaimSpec,
     return float(np.abs(res.surface.values - ve - remaining).max())
 
 
-def _bmo_sq_of_parts(tree, measure, dpsi, d_orth_diff):
-    """Squared BMO norms of a hedge-gain difference and an orthogonal
-    difference: max over nodes of conditional remaining square sums."""
-    q = measure.edge_prob
-    h_psi = np.zeros(tree.n_nodes)
-    h_l = np.zeros(tree.n_nodes)
-    for t in range(tree.horizon):
-        for _k, (nodes, ch) in tree.groups()[t].items():
-            gain = np.einsum("mkd,md->mk", tree.dprice[ch], dpsi[nodes])
-            h_psi[nodes] = np.einsum("mk,mk->m", q[ch], gain ** 2)
-            h_l[nodes] = np.einsum("mk,mk->m", q[ch], d_orth_diff[ch] ** 2)
-    r_psi = expected_remaining(tree, measure, h_psi)
-    r_l = expected_remaining(tree, measure, h_l)
-    return float(r_psi.max()), float(r_l.max())
-
-
 def _conditional_entropy(tree: EventTree, edge_prob: np.ndarray,
                          ref_edge_prob: np.ndarray) -> np.ndarray:
     """Surface H with H[i] = H_i(Q | R), the relative entropy of the
@@ -220,15 +200,10 @@ def _conditional_entropy(tree: EventTree, edge_prob: np.ndarray,
     horizon.  Zero kernel entries contribute 0 (0 log 0 = 0), so Q may
     sit on the boundary of the simplex; R must be strictly positive.
     """
-    h = np.zeros(tree.n_nodes)
-    for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in tree.groups()[t].items():
-            q = edge_prob[ch]
-            pos = q > 0.0
-            log_ratio = np.log(np.where(pos, q, 1.0) / ref_edge_prob[ch])
-            h[nodes] = np.einsum("mk,mk->m", np.where(pos, q, 0.0),
-                                 np.where(pos, log_ratio, 0.0) + h[ch])
-    return h
+    pos = edge_prob > 0.0
+    q = np.where(pos, edge_prob, 0.0)
+    log_ratio = np.log(np.where(pos, edge_prob, 1.0) / ref_edge_prob)
+    return tree.backward(q, tree.reduce_children(np.add, q * log_ratio))
 
 
 def small_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
@@ -256,7 +231,7 @@ def small_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
         cols["dist_sup"].append(float(np.abs(values - proj.values).max()))
         cols["comp_dist"].append(float(np.abs(
             values - proj.values - remaining).max()))
-        dpsi_sq, dl_sq = _bmo_sq_of_parts(
+        dpsi_sq, dl_sq = _bmo_sq(
             tree, measure, sol.psi - proj.psi, sol.d_orth - proj.d_orth)
         cols["dist_psi_sq"].append(dpsi_sq)
         cols["dist_L_sq"].append(dl_sq)
@@ -337,10 +312,7 @@ def large_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
     star_sol = exact_decomposition(tree, star.values, measure, alpha=np.inf)
     star_entropy = _conditional_entropy(tree, star.argmax_edge,
                                         measure.edge_prob)
-    kstar = np.zeros(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        kstar[nodes] = kstar[tree.parent[nodes]] + star.dk[nodes]
+    kstar = tree.forward(np.add, star.dk)
     gain_star = gains(tree, star.psi)
     w = bracket_weights(tree, measure)
 
@@ -385,8 +357,8 @@ def large_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
         bm = bmo_norms(tree, sol, measure)
         cols["bmo_psi"].append(bm.bmo_psi)
         cols["bmo_L"].append(bm.bmo_orth)
-        _, dl_sq = _bmo_sq_of_parts(tree, measure, res.strategy - star_sol.psi,
-                                    sol.d_orth - star_sol.d_orth)
+        _, dl_sq = _bmo_sq(tree, measure, res.strategy - star_sol.psi,
+                           sol.d_orth - star_sol.d_orth)
         bmo_l_dist.append(float(np.sqrt(dl_sq)))
     for j in range(len(rules)):
         cols[f"comp_dist_rule{j}"] = rule_cols[j]

@@ -32,8 +32,7 @@ import numpy as np
 from ._onestep import exp_min_batch, gkw_batch
 from .errors import TreeStructureError
 from .lattice import BasisRiskLattice, ClaimSpec, EventTree
-from .measures import (MeasureProcess, entropic_projection, expected_remaining,
-                       minimal_entropy_measure)
+from .measures import MeasureProcess, entropic_projection, minimal_entropy_measure
 from .tolerances import DEFAULT, NEWTON_MAX_ITER, Tolerances
 from .valuation import ValuationResult, indifference_surface
 
@@ -120,24 +119,6 @@ def gkw_step(q, ds, v):
     return float(mean[0]), psi[0], dl[0]
 
 
-def _cumulate_edges(tree: EventTree, per_node_step: np.ndarray) -> np.ndarray:
-    """Cumulative path sum of a per-node (predictable) step quantity."""
-    out = np.zeros(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        par = tree.parent[nodes]
-        out[nodes] = out[par] + per_node_step[par]
-    return out
-
-
-def _cumulate_optional(tree: EventTree, per_edge: np.ndarray) -> np.ndarray:
-    out = np.zeros(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        out[nodes] = out[tree.parent[nodes]] + per_edge[nodes]
-    return out
-
-
 def _decompose(tree: EventTree, measure: MeasureProcess, values: np.ndarray,
                alpha: float, route: str, scheme: bool) -> BsdeSolution:
     n = tree.n_nodes
@@ -160,11 +141,12 @@ def _decompose(tree: EventTree, measure: MeasureProcess, values: np.ndarray,
                 vals[nodes] = mean + 0.5 * alpha * sb
             else:
                 comp_step[nodes] = vals[nodes] - mean
+    par = tree.parent[1:]  # a node's predictable step counts on the edges leaving it
     return BsdeSolution(
         vals, psi, d_orth, step_bracket, comp_step,
-        _cumulate_edges(tree, step_bracket),
-        _cumulate_optional(tree, d_orth * d_orth),
-        _cumulate_edges(tree, comp_step),
+        tree.forward(np.add, np.r_[0.0, step_bracket[par]]),
+        tree.forward(np.add, d_orth * d_orth),
+        tree.forward(np.add, np.r_[0.0, comp_step[par]]),
         float(alpha), route)
 
 
@@ -214,21 +196,27 @@ def bmo_norms(tree: EventTree, sol: BsdeSolution, measure: MeasureProcess, *,
     increments of X | node ])``.  ``up_to`` truncates the remaining sums
     at a time slice (norms are monotone in the truncation horizon).
     """
-    q = measure.edge_prob
-    h_psi = np.zeros(tree.n_nodes)
-    for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in tree.groups()[t].items():
-            hedge_gain = np.einsum("mkd,md->mk", tree.dprice[ch], sol.psi[nodes])
-            h_psi[nodes] = np.einsum("mk,mk->m", q[ch], hedge_gain ** 2)
-    h_orth = sol.step_bracket.copy()
-    if up_to is not None:
-        cut = tree.times >= up_to
-        h_psi[cut] = 0.0
-        h_orth[cut] = 0.0
-    r_psi = expected_remaining(tree, measure, h_psi)
-    r_orth = expected_remaining(tree, measure, h_orth)
-    return BmoReport(float(np.sqrt(r_psi.max())), float(np.sqrt(r_orth.max())),
+    psi_sq, orth_sq = _bmo_sq(tree, measure, sol.psi, sol.d_orth, up_to)
+    return BmoReport(float(np.sqrt(psi_sq)), float(np.sqrt(orth_sq)),
                      sol.alpha, sol.route)
+
+
+def _bmo_sq(tree: EventTree, measure: MeasureProcess, psi: np.ndarray,
+            d_orth: np.ndarray, up_to: int | None = None):
+    """Squared BMO norms of the hedge part with holdings ``psi`` and of
+    the orthogonal part with edge increments ``d_orth``: the max over
+    nodes of the conditional remaining sums of squared one-step
+    increments, the steps from slice ``up_to`` on dropped."""
+    q = measure.edge_prob
+    gain = np.zeros(tree.n_nodes)
+    gain[1:] = np.einsum("nd,nd->n", tree.dprice[1:], psi[tree.parent[1:]])
+    late = tree.times >= (tree.horizon if up_to is None else up_to)
+    out = []
+    for inc in (gain, d_orth):
+        step = tree.reduce_children(np.add, q * inc * inc)
+        step[late] = 0.0
+        out.append(float(tree.backward(q, step).max()))
+    return tuple(out)
 
 
 def comparison_check(tree: EventTree, claim_hi: ClaimSpec, claim_lo: ClaimSpec,
@@ -262,11 +250,9 @@ def orthogonal_exponential(tree: EventTree, sol: BsdeSolution) -> np.ndarray:
     sign, which is exactly why the multiplicative density representation
     of the optimal measure is not asserted on trees.
     """
-    e = np.ones(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        e[nodes] = e[tree.parent[nodes]] * (1.0 - sol.alpha * sol.d_orth[nodes])
-    return e
+    factor = 1.0 - sol.alpha * sol.d_orth
+    factor[0] = 1.0
+    return tree.forward(np.multiply, factor)
 
 
 # ---------------------------------------------------------------------------

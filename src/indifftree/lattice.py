@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._onestep import lse_newton, martingale_part, relint_witness
+from ._onestep import _is_degenerate, lse_newton, martingale_part, relint_witness
 from .errors import NoArbitrageViolated, StoppingRuleError, TreeStructureError
 from .tolerances import DEFAULT, Tolerances
 
@@ -72,6 +72,14 @@ class EventTree:
     n_assets : number of traded assets d.
     dprice : (n, d) price increment along the incoming edge (0 at root).
     child_start, child_count : contiguous children bookkeeping.
+
+    The breadth-first layout (children contiguous, parents non-decreasing,
+    non-terminal nodes a prefix) is read through the tree primitives:
+    :meth:`forward` accumulates along paths from the root,
+    :meth:`reduce_children` and :meth:`backward` take one-step and
+    recursive conditional expectations from the horizon, and
+    :meth:`groups` feeds the batched one-step solvers.  Per-node arrays
+    are indexed by node; a per-edge quantity sits at the edge's child.
     """
 
     def __init__(self, times, parent, prices, edge_prob, *, tol: Tolerances = DEFAULT):
@@ -138,6 +146,7 @@ class EventTree:
         bounds = np.searchsorted(times, np.arange(horizon + 2))
         self._slice_bounds = _freeze(bounds)
         self._groups: list | None = None
+        self._degenerate: int | None = None
 
     # -- structure access -------------------------------------------------
 
@@ -180,6 +189,62 @@ class EventTree:
                 out.append(byk)
             self._groups = out
         return self._groups
+
+    @property
+    def degenerate_nodes(self) -> int:
+        """Number of non-terminal nodes whose increments do not span the
+        asset space (computed once per tree)."""
+        if self._degenerate is None:
+            self._degenerate = sum(int(_is_degenerate(self.dprice[ch]).sum())
+                                   for byk in self.groups() for _, ch in byk.values())
+        return self._degenerate
+
+    # -- tree primitives --------------------------------------------------
+
+    def forward(self, op, x) -> np.ndarray:
+        """Path accumulation from the root.
+
+        ``out[0] = x[0]`` and ``out[c] = op(out[parent[c]], x[c])`` for a
+        binary ufunc ``op`` (e.g. ``np.add``, ``np.multiply``,
+        ``np.logical_or``); ``x`` is (n, ...), one vectorized step per slice.
+        """
+        out = np.array(x, copy=True)
+        b = self._slice_bounds
+        for t in range(1, self.horizon + 1):
+            sl = slice(b[t], b[t + 1])
+            op(out[self.parent[sl]], out[sl], out=out[sl])
+        return out
+
+    def reduce_children(self, op, x) -> np.ndarray:
+        """One-step reduction ``out[i] = op.reduce(x[children of i])``.
+
+        ``x`` is a per-edge (n, ...) array; every non-terminal node is
+        reduced at once by one ``op.reduceat`` over the edges 1..n-1, and
+        terminal rows are 0.  ``reduce_children(np.add, q * f)`` is the
+        conditional expectation E_q[f | node] of a per-edge ``f``.
+        """
+        x = np.asarray(x)
+        out = np.zeros_like(x)
+        m = self._slice_bounds[self.horizon]
+        out[:m] = op.reduceat(x[1:], self.child_start[:m] - 1, axis=0)
+        return out
+
+    def backward(self, q, x) -> np.ndarray:
+        """Recursive conditional expectation from the horizon.
+
+        ``out[i] = x[i]`` at terminal nodes and
+        ``out[i] = x[i] + E_q[out[child] | i]`` elsewhere, for per-edge
+        kernels ``q`` (n,) and ``x`` (n, ...): terminal values plus a
+        per-node step.  One reduceat per slice.
+        """
+        out = np.array(x, dtype=np.float64, copy=True)
+        q = np.asarray(q, dtype=np.float64).reshape((-1,) + (1,) * (out.ndim - 1))
+        b = self._slice_bounds
+        for t in range(self.horizon - 1, -1, -1):
+            lo, hi, stop = b[t], b[t + 1], b[t + 2]
+            out[lo:hi] += np.add.reduceat(q[hi:stop] * out[hi:stop],
+                                          self.child_start[lo:hi] - hi, axis=0)
+        return out
 
     def __repr__(self):  # pragma: no cover
         return (f"EventTree(nodes={self.n_nodes}, horizon={self.horizon}, "
@@ -425,7 +490,7 @@ class NoArbitrageReport:
         return self
 
 
-def validate_no_arbitrage(tree: EventTree, *, tol: Tolerances = DEFAULT) -> NoArbitrageReport:
+def validate_no_arbitrage(tree: EventTree) -> NoArbitrageReport:
     """Scan all non-terminal nodes for one-step arbitrage.
 
     A node is sound iff zero lies in the relative interior of the convex
@@ -435,7 +500,9 @@ def validate_no_arbitrage(tree: EventTree, *, tol: Tolerances = DEFAULT) -> NoAr
     Its converged weights, moved onto the martingale kernels, certify a
     node when all exceed ``WITNESS_FLOOR``; only the other nodes solve
     the LP (importing scipy).  Sound random trees converge within 17
-    Newton steps, so the kernel gets 30.
+    Newton steps, so the kernel gets 30.  The thresholds are fixed (drift
+    1e-12, ``WITNESS_FLOOR``, the LP's 1e-11), so configured tolerances do
+    not apply to this scan.
     """
     node_ok = np.ones(tree.n_nodes, dtype=bool)
     witness: list = [None] * tree.n_nodes
@@ -482,12 +549,9 @@ def gains(tree: EventTree, theta: np.ndarray) -> np.ndarray:
     G[child] = G[parent] + theta[parent] . (S[child] - S[parent]).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    g = np.zeros(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        par = tree.parent[nodes]
-        g[nodes] = g[par] + np.einsum("ij,ij->i", theta[par], tree.dprice[nodes])
-    return g
+    step = np.zeros(tree.n_nodes)
+    step[1:] = np.einsum("ij,ij->i", theta[tree.parent[1:]], tree.dprice[1:])
+    return tree.forward(np.add, step)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +559,9 @@ def gains(tree: EventTree, theta: np.ndarray) -> np.ndarray:
 
 
 def is_stopping_rule(tree: EventTree, members: np.ndarray) -> bool:
-    mask = np.zeros(tree.n_nodes, dtype=bool)
-    mask[np.asarray(members, dtype=np.int64)] = True
-    count = np.zeros(tree.n_nodes, dtype=np.int64)
-    count[0] = mask[0]
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        count[nodes] = count[tree.parent[nodes]] + mask[nodes]
+    mask = np.zeros(tree.n_nodes, dtype=np.int64)
+    mask[np.asarray(members, dtype=np.int64)] = 1
+    count = tree.forward(np.add, mask)  # members on the path to each node
     if np.any(count > 1):
         return False
     return bool(np.all(count[tree.terminal_nodes] == 1))
@@ -544,11 +604,8 @@ def stopping_precedes(tree: EventTree, earlier, later) -> bool:
     later = validate_stopping_rule(tree, later)
     in_later = np.zeros(tree.n_nodes, dtype=bool)
     in_later[later] = True
-    strictly_above = np.zeros(tree.n_nodes, dtype=bool)  # a strict ancestor is in `later`
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        par = tree.parent[nodes]
-        strictly_above[nodes] = strictly_above[par] | in_later[par]
+    # a strict ancestor is in `later`
+    strictly_above = tree.forward(np.logical_or, np.r_[False, in_later[tree.parent[1:]]])
     return not bool(np.any(strictly_above[earlier]))
 
 

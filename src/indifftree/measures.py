@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._onestep import (ENTROPIC_FLOOR, _is_degenerate, entropic_projection_batch,
-                       group_rows, lse_newton, sweep_error)
+from ._onestep import (ENTROPIC_FLOOR, entropic_projection_batch, group_rows,
+                       lse_newton, sweep_error)
 from .errors import NonMartingaleKernel, TreeStructureError
-from .lattice import ClaimSpec, EventTree
+from .lattice import ClaimSpec, EventTree, gains
 from .tolerances import DEFAULT, NEWTON_MAX_ITER, Tolerances
 
 __all__ = [
@@ -64,17 +64,13 @@ class MeasureProcess:
             raise TreeStructureError("edge probability array has wrong length")
         if np.any(q[1:] <= 0.0):
             raise TreeStructureError("measure kernels must be strictly positive")
-        mass = np.zeros(tree.n_nodes)
-        np.add.at(mass, tree.parent[1:], q[1:])
+        mass = tree.reduce_children(np.add, q)
         interior = tree.times < tree.horizon
         if np.any(np.abs(mass[interior] - 1.0) > tol.kernel_sum):
             raise TreeStructureError("measure kernels must sum to one")
-        mart = True
-        drift = np.zeros((tree.n_nodes, tree.n_assets))
-        np.add.at(drift, tree.parent[1:], q[1:, None] * tree.dprice[1:])
+        drift = tree.reduce_children(np.add, q[:, None] * tree.dprice)
         scale = max(1.0, float(np.abs(tree.dprice).max()))
-        if np.any(np.abs(drift[interior]) > tol.constraint * scale):
-            mart = False
+        mart = not np.any(np.abs(drift[interior]) > tol.constraint * scale)
         if require_martingale and not mart:
             raise NonMartingaleKernel("kernels do not make the price a martingale")
         q.setflags(write=False)
@@ -179,8 +175,7 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     kernel call over its B * m rows.  ``alphas`` (B,), when given, only
     labels the rows in solver errors.  Returns per-row surfaces
     ``(J (B, n), lam (B, n, d), q_edge (B, n))`` and the diagnostics
-    ``iterations`` and ``max_residual`` (B,) and ``degenerate_nodes``
-    (shared by all rows, since it depends on the increments only).
+    ``iterations`` and ``max_residual`` (B,).
     """
     costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
     nb = costs.shape[0]
@@ -194,15 +189,12 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     q_edge[:, 0] = 1.0
     iterations = np.zeros(nb, dtype=np.int64)
     max_resid = np.zeros(nb)
-    degenerate = 0
     logp = np.log(tree.edge_prob)
     groups = tree.groups()
     for t in range(tree.horizon - 1, -1, -1):
         for nodes, ch in groups[t].values():
             m, k = ch.shape
-            ds = tree.dprice[ch]
-            degenerate += int(_is_degenerate(ds).sum())
-            rows = group_rows(ds, nb)
+            rows = group_rows(tree.dprice[ch], nb)
             sol = lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
                              floor=ENTROPIC_FLOOR, newton_tol=tol.newton,
                              max_iter=NEWTON_MAX_ITER)
@@ -213,8 +205,7 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
             q_edge[:, ch] = sol.w.reshape(nb, m, k)
             iterations += sol.iterations.reshape(nb, m).sum(axis=1)
             np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
-    diag = {"iterations": iterations, "max_residual": max_resid,
-            "degenerate_nodes": degenerate}
+    diag = {"iterations": iterations, "max_residual": max_resid}
     return value, lam, q_edge, diag
 
 
@@ -223,7 +214,7 @@ def _entropy_result(tree, cost, value, lam, q_edge, diag, row, tol):
     measure = MeasureProcess.from_edges(tree, q_edge[row], tol=tol)
     return EntropyResult(measure, value[row], lam[row], float(np.exp(value[row, 0])),
                          cost, int(diag["iterations"][row]),
-                         float(diag["max_residual"][row]), diag["degenerate_nodes"])
+                         float(diag["max_residual"][row]), tree.degenerate_nodes)
 
 
 def minimal_entropy_measure(tree: EventTree, terminal_cost=None, *,
@@ -266,20 +257,13 @@ def density_process(tree: EventTree, measure: MeasureProcess,
     ref = tree.edge_prob if reference is None else reference.edge_prob
     ratio = np.ones(tree.n_nodes)
     ratio[1:] = measure.edge_prob[1:] / ref[1:]
-    log_z = np.zeros(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        log_z[nodes] = log_z[tree.parent[nodes]] + np.log(ratio[nodes])
+    log_z = tree.forward(np.add, np.log(ratio))
     return DensitySurface(np.exp(log_z), log_z, ratio)
 
 
 def node_probabilities(tree: EventTree, measure: MeasureProcess) -> np.ndarray:
     """Unconditional probability of each node under the measure."""
-    prob = np.ones(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        prob[nodes] = prob[tree.parent[nodes]] * measure.edge_prob[nodes]
-    return prob
+    return tree.forward(np.multiply, np.r_[1.0, measure.edge_prob[1:]])
 
 
 def relative_entropy(tree: EventTree, measure: MeasureProcess,
@@ -296,11 +280,7 @@ def conditional_expectation(tree: EventTree, measure: MeasureProcess,
     """Surface of conditional expectations of a terminal payoff."""
     x = np.zeros(tree.n_nodes)
     x[tree.terminal_nodes] = np.asarray(terminal_values, dtype=np.float64)
-    q = measure.edge_prob
-    for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in tree.groups()[t].items():
-            x[nodes] = np.einsum("mk,mk->m", q[ch], x[ch])
-    return x
+    return tree.backward(measure.edge_prob, x)
 
 
 def expected_remaining(tree: EventTree, measure: MeasureProcess,
@@ -310,13 +290,9 @@ def expected_remaining(tree: EventTree, measure: MeasureProcess,
 
     ``step_values`` is read at non-terminal nodes only.
     """
-    r = np.zeros(tree.n_nodes)
-    q = measure.edge_prob
-    step = np.asarray(step_values, dtype=np.float64)
-    for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in tree.groups()[t].items():
-            r[nodes] = step[nodes] + np.einsum("mk,mk->m", q[ch], r[ch])
-    return r
+    step = np.array(step_values, dtype=np.float64)
+    step[tree.terminal_nodes] = 0.0
+    return tree.backward(measure.edge_prob, step)
 
 
 def verify_entropy_structure(tree: EventTree, result: EntropyResult) -> float:
@@ -328,12 +304,7 @@ def verify_entropy_structure(tree: EventTree, result: EntropyResult) -> float:
     optimal density with constant ``scale_constant``.
     """
     dens = density_process(tree, result.measure)
-    g = np.zeros(tree.n_nodes)
-    for t in range(1, tree.horizon + 1):
-        nodes = tree.slice_nodes(t)
-        par = tree.parent[nodes]
-        g[nodes] = g[par] + np.einsum("ij,ij->i", result.multipliers[par],
-                                      tree.dprice[nodes])
+    g = gains(tree, result.multipliers)
     term = tree.terminal_nodes
     predicted = result.value_surface[0] - result.terminal_cost + g[term]
     return float(np.max(np.abs(dens.log_z[term] - predicted)))

@@ -157,11 +157,7 @@ def _primal_sweep(tree: EventTree, measure: MeasureProcess, claims: np.ndarray,
             values[:, in_slice] = stop[:, in_slice]
     valid = None
     if stop_members is not None:
-        after = np.zeros(n, dtype=bool)
-        for t in range(1, tree.horizon + 1):
-            nodes = tree.slice_nodes(t)
-            par = tree.parent[nodes]
-            after[nodes] = after[par] | stop_mask[par]
+        after = tree.forward(np.logical_or, np.r_[False, stop_mask[tree.parent[1:]]])
         values[:, after] = np.nan
         theta[:, after] = np.nan
         valid = ~after
@@ -253,10 +249,7 @@ def _time_measurable(tree: EventTree, t: int, rng, low=0.0, high=1.0):
     x = np.zeros(tree.n_nodes)
     nodes = tree.slice_nodes(t)
     x[nodes] = rng.uniform(low, high, size=nodes.size)
-    for s in range(t + 1, tree.horizon + 1):
-        sl = tree.slice_nodes(s)
-        x[sl] = x[tree.parent[sl]]
-    return x
+    return tree.forward(np.add, x)
 
 
 def property_checks(tree: EventTree, claim: ClaimSpec, alpha: float,
@@ -422,17 +415,20 @@ class CertificateReport:
 
 def _certificate_slack(tree: EventTree, measure: MeasureProcess,
                        values: np.ndarray, theta: np.ndarray, alpha: float):
-    """Per-node slack (1/a)(log E[exp(a(C_child - theta dS))] - a C_node)."""
-    n = tree.n_nodes
-    slack = np.zeros(n)
-    logq = np.log(measure.edge_prob)
-    for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in tree.groups()[t].items():
-            expo = (logq[ch] + alpha * (values[ch]
-                    - np.einsum("mkd,md->mk", tree.dprice[ch], theta[nodes])))
-            mx = expo.max(axis=1)
-            lse = np.log(np.exp(expo - mx[:, None]).sum(axis=1)) + mx
-            slack[nodes] = lse / alpha - values[nodes]
+    """Per-node slack (1/a)(log E[exp(a(C_child - theta dS))] - a C_node).
+
+    The exponent is shifted by its max over each node's children, so the
+    exponential cannot overflow at large alpha.
+    """
+    hedge = np.zeros(tree.n_nodes)
+    hedge[1:] = np.einsum("nd,nd->n", tree.dprice[1:], theta[tree.parent[1:]])
+    expo = np.log(measure.edge_prob) + alpha * (values - hedge)
+    mx = tree.reduce_children(np.maximum, expo)
+    shifted = np.exp(expo[1:] - mx[tree.parent[1:]])
+    inner = tree.times < tree.horizon
+    lse = np.log(tree.reduce_children(np.add, np.r_[0.0, shifted])[inner]) + mx[inner]
+    slack = np.zeros(tree.n_nodes)
+    slack[inner] = lse / alpha - values[inner]
     return slack
 
 
