@@ -308,7 +308,7 @@ def large_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
     term = tree.terminal_nodes
     nonterm = tree.times < tree.horizon
 
-    star = superrep_surface(tree, claim, decompose=True, tol=tol)
+    star = superrep_surface(tree, claim, decompose=True)
     star_sol = exact_decomposition(tree, star.values, measure, alpha=np.inf)
     star_entropy = _conditional_entropy(tree, star.argmax_edge,
                                         measure.edge_prob)

@@ -267,7 +267,7 @@ def _cmd_bsde(cfg, tol):
 
 def _cmd_superrep(cfg, tol):
     tree, claim = _build_model(cfg, tol)
-    surf = superrep_surface(tree, claim, decompose=True, tol=tol)
+    surf = superrep_surface(tree, claim, decompose=True)
     term = tree.terminal_nodes
     pathwise = surf.values[0] + gains(tree, surf.psi)[term] - claim.values
     rows = [(int(i), int(tree.times[i]), float(surf.values[i]),
@@ -277,6 +277,7 @@ def _cmd_superrep(cfg, tol):
         "cstar0": float(surf.values[0]),
         "min_dk": float(surf.dk.min()),
         "superhedge_min_margin": float(pathwise.min()),
+        "qp_nodes": surf.qp_nodes,
     }
     ok = pathwise.min() >= -1e-10 and surf.dk.min() >= -tol.equality
     if not ok:

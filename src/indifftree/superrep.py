@@ -2,19 +2,20 @@
 
 The superhedging value of a claim is the backward maximum of one-step
 expectations over the closed polytope of martingale kernels at each
-node.  Small nodes are solved by enumerating the polytope's vertices
-(basic feasible solutions), larger ones by the simplex method; the two
-routes agree to solver tolerance and tests cross-check them.
+node.  The maximum sits at a vertex, which solves ``[dS/scale | 1]^T q
+= e`` on an independent support of at most d + 1 children, so each
+(slice, k) group solves every column subset of size 1..min(k, d+1), for
+all of its nodes, in one batched least-squares call.
 
-The decomposition pass recovers, node by node, holdings ``psi`` and
-nonnegative consumption increments ``dk`` with
+The decomposition recovers holdings ``psi`` and consumption ``dk`` with
 
-    cstar_child = cstar_node + psi . dS - dk,   dk >= 0,
+    cstar_child = cstar_node + psi . dS - dk,   dk >= 0.
 
-feasible by LP duality; among all feasible holdings the minimal
-Euclidean norm one is returned (a tiny active-set quadratic program),
-which makes the output deterministic and reproduces the replicating
-strategy exactly on attainable claims.
+By complementary slackness every feasible ``psi`` is tight on the
+optimal kernel's support, so the minimal-norm solution there (one
+batched pseudo-inverse per group) is the minimal-norm feasible holding
+whenever it dominates the other children; elsewhere a tiny active-set
+quadratic program decides.  Attainable claims are replicated exactly.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from itertools import combinations
 import numpy as np
 from .errors import NoArbitrageViolated, TreeStructureError
 from .lattice import ClaimSpec, EventTree
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "SuperrepSurface",
@@ -32,8 +32,6 @@ __all__ = [
     "optional_decomposition",
     "subrep_surface",
 ]
-
-_VERTEX_MAX_BRANCH = 6
 
 
 @dataclass
@@ -46,6 +44,8 @@ class SuperrepSurface:
     argmax_edge : (n,) an optimal one-step kernel per edge (may contain
         zeros; it lives on the closed martingale polytope).
     decomposed : whether psi/dk have been computed.
+    qp_nodes : number of nodes whose holdings the decomposition took from
+        the quadratic program because the support solve was infeasible.
     """
 
     values: np.ndarray
@@ -53,6 +53,39 @@ class SuperrepSurface:
     dk: np.ndarray
     argmax_edge: np.ndarray
     decomposed: bool = False
+    qp_nodes: int = 0
+
+
+def _kernel_candidates(ds: np.ndarray):
+    """Candidate martingale kernels of a group with increments (m, k, d).
+
+    Solves ``[ds/scale | 1]^T x = e``, with scale the row's largest |ds|,
+    on every column subset of size 1..min(k, d+1) for all m rows in one
+    batched pseudo-inverse.  Returns
+    the kernels ``q`` (m, s, k), a feasibility mask ``ok`` (m, s) and the
+    subset systems ``sub`` (m, s, d+1, r), whose padded columns are zero.
+    """
+    m, k, d = ds.shape
+    scale = np.abs(ds).max(axis=(1, 2))
+    scale[scale == 0] = 1.0
+    a = np.concatenate([ds / scale[:, None, None], np.ones((m, k, 1))], axis=2)
+    r = min(k, d + 1)
+    subs = [c for size in range(1, r + 1) for c in combinations(range(k), size)]
+    onehot = np.zeros((len(subs), r, k))  # slot j of subset i selects its column
+    for i, cols in enumerate(subs):
+        onehot[i, np.arange(len(cols)), cols] = 1.0
+    sub = np.einsum("srk,mke->mser", onehot, a)
+    x = np.linalg.pinv(sub)[..., -1]  # pinv @ e, e = (0, .., 0, 1)
+    resid = np.einsum("mser,msr->mse", sub, x)
+    resid[..., -1] -= 1.0
+    ok = (np.linalg.norm(resid, axis=-1) <= 1e-10) & np.all(x >= -1e-12, axis=-1)
+    q = np.einsum("msr,srk->msk", np.clip(x, 0.0, None), onehot)
+    total = q.sum(axis=-1)
+    ok &= total > 0
+    q /= np.where(ok, total, 1.0)[..., None]
+    drift = np.abs(np.einsum("msk,mkd->msd", q, ds)).max(axis=-1)
+    ok &= drift <= 1e-9 * scale[:, None]
+    return q, ok, sub
 
 
 def martingale_vertices(ds: np.ndarray) -> np.ndarray:
@@ -62,107 +95,52 @@ def martingale_vertices(ds: np.ndarray) -> np.ndarray:
     when the polytope is empty.
     """
     ds = np.atleast_2d(np.asarray(ds, dtype=np.float64))
-    k, d = ds.shape
-    scale = max(1.0, float(np.abs(ds).max()))
-    a = np.vstack([ds.T / scale, np.ones((1, k))])  # (d+1, k)
-    b = np.zeros(d + 1)
-    b[-1] = 1.0
-    r = np.linalg.matrix_rank(a, tol=1e-12)
-    verts = []
-    for cols in combinations(range(k), r):
-        sub = a[:, cols]
-        sol, residual, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
-        if rank < r:
-            continue
-        if np.linalg.norm(a[:, cols] @ sol - b) > 1e-10:
-            continue
-        if np.any(sol < -1e-12):
-            continue
-        q = np.zeros(k)
-        q[list(cols)] = np.clip(sol, 0.0, None)
-        s = q.sum()
-        if s <= 0:
-            continue
-        q /= s
-        if np.abs(q @ ds).max() > 1e-9 * scale:
-            continue
-        verts.append(q)
-    if not verts:
-        raise NoArbitrageViolated("empty martingale polytope at a node")
-    out = np.unique(np.round(np.vstack(verts), 12), axis=0)
-    return out
+    q, ok, sub = _kernel_candidates(ds[None])
+    size = sub[0, :, -1].sum(axis=-1)  # the row of ones counts the columns
+    verts = q[0, ok[0] & (np.linalg.matrix_rank(sub[0], tol=1e-12) == size)]
+    if verts.shape[0] == 0:
+        raise NoArbitrageViolated("empty martingale polytope")
+    return np.unique(np.round(verts, 12), axis=0)
 
 
-def _lp_step(ds: np.ndarray, v: np.ndarray):
-    """max_q q . v over the martingale polytope, via HiGHS."""
-    from scipy.optimize import linprog
-
-    k, d = ds.shape
-    scale = max(1.0, float(np.abs(ds).max()))
-    a_eq = np.vstack([ds.T / scale, np.ones((1, k))])
-    b_eq = np.zeros(d + 1)
-    b_eq[-1] = 1.0
-    res = linprog(-v, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * k, method="highs")
-    if not res.success:
-        raise NoArbitrageViolated("infeasible one-step superhedging program")
-    return -res.fun, res.x
-
-
-def _vertex_step(ds: np.ndarray, v: np.ndarray):
-    verts = martingale_vertices(ds)
-    vals = verts @ v
-    j = int(np.argmax(vals))
-    return float(vals[j]), verts[j]
-
-
-def superrep_surface(tree: EventTree, claim: ClaimSpec, *, method: str = "auto",
-                     decompose: bool = False,
-                     tol: Tolerances = DEFAULT) -> SuperrepSurface:
-    """Backward superreplication sweep.
-
-    ``method`` is "vertex" (enumeration, branching <= 6), "lp", or
-    "auto" (vertex where small, LP otherwise).  With ``decompose=True``
-    the holdings/consumption split is computed as well.
+def superrep_surface(tree: EventTree, claim: ClaimSpec, *,
+                     decompose: bool = False) -> SuperrepSurface:
+    """Backward superreplication sweep, one batched vertex enumeration
+    per (slice, k) group.  With ``decompose=True`` the
+    holdings/consumption split is computed as well.
     """
-    if method not in ("auto", "vertex", "lp"):
-        raise ValueError(f"unknown method {method!r}")
     n = tree.n_nodes
-    values = np.zeros(n)
-    values[tree.terminal_nodes] = claim.values
+    values = claim.full_surface(tree)
     argmax_edge = np.zeros(n)
     argmax_edge[0] = 1.0
     for t in range(tree.horizon - 1, -1, -1):
-        for i in tree.slice_nodes(t):
-            ch = tree.children_of(i)
-            ds = tree.increments(i)
-            v = values[ch]
-            use_vertex = method == "vertex" or (
-                method == "auto" and ch.size <= _VERTEX_MAX_BRANCH)
-            if use_vertex:
-                val, q = _vertex_step(ds, v)
-            else:
-                val, q = _lp_step(ds, v)
-            values[i] = val
-            argmax_edge[ch] = q
-    surf = SuperrepSurface(values, np.zeros((n, tree.n_assets)), np.zeros(n),
-                           argmax_edge, False)
-    if decompose:
-        optional_decomposition(tree, surf, tol=tol)
-    return surf
+        for nodes, ch in tree.groups()[t].values():
+            q, ok, _ = _kernel_candidates(tree.dprice[ch])
+            if not ok.any(axis=1).all():
+                i = int(nodes[~ok.any(axis=1)][0])
+                raise NoArbitrageViolated(
+                    f"empty martingale polytope at node {i} (slice {t})")
+            vals = np.where(ok, np.einsum("msk,mk->ms", q, values[ch]), -np.inf)
+            best = np.argmax(vals, axis=1)
+            rows = np.arange(nodes.size)
+            values[nodes] = vals[rows, best]
+            argmax_edge[ch] = q[rows, best]
+    surf = SuperrepSurface(values, np.zeros((n, tree.n_assets)), np.zeros(n), argmax_edge)
+    return optional_decomposition(tree, surf) if decompose else surf
 
 
-def subrep_surface(tree: EventTree, claim: ClaimSpec, *,
-                   tol: Tolerances = DEFAULT) -> np.ndarray:
+def subrep_surface(tree: EventTree, claim: ClaimSpec) -> np.ndarray:
     """Subreplication (lower arbitrage-bound) value surface."""
-    return -superrep_surface(tree, ClaimSpec(-claim.values), tol=tol).values
+    return -superrep_surface(tree, ClaimSpec(-claim.values)).values
 
 
-def _min_norm_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _min_norm_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Minimal-Euclidean-norm x with a @ x >= b (tiny active-set QP).
 
     KKT: x = a[J]^T mu with mu >= 0 supported on active rows J,
     a @ x >= b, and complementary slackness.  All supports of size <= d
     are enumerated (constraint counts here are single-node branchings).
+    Returns None when no support gives a feasible x.
     """
     m, d = a.shape
     if np.all(b <= 1e-12):
@@ -186,33 +164,47 @@ def _min_norm_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if nx < best_norm - 1e-15:
                 best_norm = nx
                 best = x
-    if best is None:
-        raise TreeStructureError("superhedging decomposition infeasible at a node")
     return best
 
 
-def optional_decomposition(tree: EventTree, surf: SuperrepSurface, *,
-                           tol: Tolerances = DEFAULT) -> SuperrepSurface:
+def optional_decomposition(tree: EventTree, surf: SuperrepSurface) -> SuperrepSurface:
     """Fill in holdings and consumption for a superreplication surface.
 
-    At every node solves for the minimal-norm holdings ``psi`` with
+    At every node finds the minimal-norm holdings ``psi`` with
     ``cstar_node + psi . dS_child >= cstar_child`` for all children and
-    records the slacks as consumption ``dk`` on the edges.  On attainable
-    claims all slacks vanish and psi is the replicating strategy.
+    records the slacks as consumption ``dk`` on the edges.  Nodes where
+    the support solve misses a child take ``psi`` from the quadratic
+    program; ``surf.qp_nodes`` counts them.
     """
     values = surf.values
     scale = max(1.0, float(np.abs(tree.dprice).max()),
                 float(np.abs(values).max()))
-    for t in range(tree.horizon - 1, -1, -1):
-        for i in tree.slice_nodes(t):
-            ch = tree.children_of(i)
-            ds = tree.increments(i)
-            gap = values[ch] - values[i]  # psi . ds must dominate this
-            psi = _min_norm_feasible(ds, gap)
-            slack = values[i] + ds @ psi - values[ch]
+    qp_nodes = 0
+    for t, byk in enumerate(tree.groups()):
+        for nodes, ch in byk.values():
+            ds = tree.dprice[ch]
+            gap = values[ch] - values[nodes, None]  # psi . ds must dominate this
+            support = surf.argmax_edge[ch] > 0
+            # rcond drops the rounding-level singular values of collinear
+            # support rows (the two increments of a k = 2 node always are)
+            pinv = np.linalg.pinv(ds * support[..., None], rcond=1e-12)
+            psi = np.einsum("mdk,mk->md", pinv, gap * support)
+            slack = np.einsum("mkd,md->mk", ds, psi) - gap
+            size = np.linalg.norm(psi, axis=1)[:, None] * np.linalg.norm(ds, axis=2)
+            for j in np.flatnonzero((slack < -1e-12 * np.maximum(1.0, size)).any(axis=1)):
+                x = _min_norm_feasible(ds[j], gap[j])
+                if x is None:
+                    raise TreeStructureError(
+                        "superhedging decomposition infeasible at "
+                        f"node {int(nodes[j])} (slice {t})")
+                psi[j] = x
+                slack[j] = ds[j] @ x - gap[j]
+                qp_nodes += 1
             if slack.min() < -1e-8 * scale:  # pragma: no cover
-                raise TreeStructureError("negative consumption in decomposition")
-            surf.psi[i] = psi
+                j = int(nodes[np.argmin(slack.min(axis=1))])
+                raise TreeStructureError(f"negative consumption at node {j} (slice {t})")
+            surf.psi[nodes] = psi
             surf.dk[ch] = np.clip(slack, 0.0, None)
     surf.decomposed = True
+    surf.qp_nodes = qp_nodes
     return surf

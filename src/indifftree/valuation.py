@@ -348,7 +348,7 @@ def arbitrage_bounds_check(tree: EventTree, claim: ClaimSpec, alpha: float,
     ``G_T(theta)`` to the claim must shift the surface by the running
     gains exactly, and gains alone must price to the running gains.
     """
-    from .superrep import superrep_surface  # local import avoids a cycle
+    from .superrep import subrep_surface, superrep_surface  # local import avoids a cycle
 
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
@@ -361,8 +361,8 @@ def arbitrage_bounds_check(tree: EventTree, claim: ClaimSpec, alpha: float,
         rows += [(g[term], alpha), (claim.values + g[term], alpha)]
     surfaces = _surfaces(tree, measure, rows, tol)
     c = surfaces[0]
-    upper = superrep_surface(tree, claim, tol=tol).values
-    lower = -superrep_surface(tree, ClaimSpec(-claim.values), tol=tol).values
+    upper = superrep_surface(tree, claim).values
+    lower = subrep_surface(tree, claim)
     lower_margin = float(np.min(c - lower))
     upper_margin = float(np.min(upper - c))
 

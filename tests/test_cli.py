@@ -58,6 +58,15 @@ def test_artifacts_bitwise_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_superrep_summary_counts_qp_nodes(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["superrep", *BASE, "--out", str(out)]) == 0
+    assert (a / "superrep-11.json").read_bytes() == (b / "superrep-11.json").read_bytes()
+    with open(a / "superrep-11.json") as fh:
+        assert json.load(fh)["qp_nodes"] == 0
+
+
 def test_sweep_csv_schema(tmp_path):
     assert run(tmp_path, "sweep-large", *BASE) == 0
     with open(tmp_path / "sweep-large-11.csv") as fh:

@@ -1,13 +1,21 @@
-"""Superreplication: an independent whole-tree linear program first,
-then vertex/LP agreement and the consumption decomposition."""
+"""Superreplication: an independent whole-tree linear program and a
+per-node linear program first, then the consumption decomposition."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from indifftree import (ClaimSpec, gains, indifference_surface, random_claim,
-                        random_strategy, random_tree, subrep_surface,
-                        superrep_surface)
+import indifftree
+from indifftree import (ClaimSpec, EventTree, NoArbitrageViolated, Tolerances,
+                        TreeStructureError, gains, indifference_surface,
+                        random_claim, random_strategy, random_tree,
+                        subrep_surface, superrep_surface)
+from indifftree.lattice import one_period_tree
 from indifftree.superrep import martingale_vertices, optional_decomposition
 from conftest import corpus_instance
 
@@ -55,12 +63,33 @@ def test_root_value_against_whole_tree_lp(i):
     assert abs(surf.values[0] - oracle) < 1e-7
 
 
-def test_vertex_and_lp_methods_agree():
+def node_lp_oracle(tree, claim):
+    """Superreplication surface by one HiGHS linear program per node.
+
+    Each program maximizes the expected child value over the closed
+    martingale polytope {q >= 0, sum q = 1, q . dS = 0}; nodes are
+    visited in decreasing index order, children before parents.
+    """
+    values = claim.full_surface(tree)
+    for i in np.flatnonzero(tree.times < tree.horizon)[::-1]:
+        ds = tree.increments(i)
+        k, d = ds.shape
+        scale = max(1.0, float(np.abs(ds).max()))
+        res = optimize.linprog(
+            -values[tree.children_of(i)],
+            A_eq=np.vstack([ds.T / scale, np.ones((1, k))]),
+            b_eq=np.r_[np.zeros(d), 1.0],
+            bounds=[(0, None)] * k, method="highs")
+        assert res.status == 0, res.message
+        values[i] = -res.fun
+    return values
+
+
+def test_values_match_node_lp_oracle_on_corpus():
     for i in [1, 3, 7]:
         tree, claim = corpus_instance(i)
-        v = superrep_surface(tree, claim, method="vertex")
-        l = superrep_surface(tree, claim, method="lp")
-        assert np.abs(v.values - l.values).max() < 1e-9
+        surf = superrep_surface(tree, claim)
+        assert np.abs(surf.values - node_lp_oracle(tree, claim)).max() < 1e-9
 
 
 def test_vertices_are_martingale_kernels(tree11):
@@ -145,8 +174,84 @@ def test_no_cheaper_superhedge_among_random_strategies(tree11, call11):
         assert worst < 0.0
 
 
-def test_method_auto_dispatches_on_branching():
-    tree, claim = corpus_instance(3)
-    a = superrep_surface(tree, claim, method="auto")
-    b = superrep_surface(tree, claim, method="lp")
-    assert np.abs(a.values - b.values).max() < 1e-9
+WIDE_TREES = ((3, 8, 3, 1), (3, (2, 8), 2, 2))
+
+
+def test_values_match_node_lp_oracle_on_wide_nodes():
+    # up to 8 children and 3 assets: 162 candidate supports per node
+    for depth, branching, assets, seed in WIDE_TREES:
+        tree = random_tree(depth, branching, assets, seed=seed)
+        claim = random_claim(tree, seed=seed)
+        surf = superrep_surface(tree, claim)
+        assert np.abs(surf.values - node_lp_oracle(tree, claim)).max() < 1e-9
+
+
+def test_values_match_node_lp_oracle_with_duplicated_asset():
+    # one asset listed twice: every vertex has two children, not d + 1 = 3
+    base = random_tree(3, 4, 1, seed=5)
+    tree = EventTree(base.times, base.parent,
+                     np.hstack([base.prices, base.prices[:, :1]]), base.edge_prob)
+    claim = random_claim(tree, seed=5)
+    surf = superrep_surface(tree, claim, decompose=True)
+    assert np.abs(surf.values - node_lp_oracle(tree, claim)).max() < 1e-9
+    assert surf.dk.min() >= 0.0
+
+
+def test_superreplication_leaves_scipy_optimize_unloaded():
+    code = ("import sys; from indifftree import random_claim, random_tree, "
+            "superrep_surface; tree = random_tree(3, 8, 3, seed=1); "
+            "surf = superrep_surface(tree, random_claim(tree, seed=1), decompose=True); "
+            "print(surf.decomposed, 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(indifftree.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "True False"
+
+
+def test_empty_polytope_names_the_node():
+    tree = one_period_tree([1.0], [[1.1], [1.2]], [0.5, 0.5])
+    with pytest.raises(NoArbitrageViolated, match=r"node 0 \(slice 0\)"):
+        superrep_surface(tree, ClaimSpec(np.array([0.0, 1.0])))
+
+
+def test_infeasible_decomposition_names_the_node(tree11, call11):
+    surf = superrep_surface(tree11, call11)
+    surf.values[0] -= 0.1        # below C*: no holdings dominate the children
+    with pytest.raises(TreeStructureError, match=r"node 0 \(slice 0\)"):
+        optional_decomposition(tree11, surf)
+
+
+def test_degenerate_vertex_goes_to_the_qp():
+    # C* = 1 is attained only at the kernel on the unmoved child, whose
+    # equality leaves psi free; the minimal-norm psi = 0 misses child 1
+    tree = one_period_tree([1.0], [[1.0], [1.2], [0.8]], [0.3, 0.3, 0.4])
+    surf = superrep_surface(tree, ClaimSpec(np.array([1.0, 1.5, 0.0])),
+                            decompose=True)
+    assert surf.qp_nodes == 1
+    np.testing.assert_allclose(surf.values[0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(surf.psi[0], [2.5], atol=1e-9)
+    np.testing.assert_allclose(surf.dk[1:], [0.0, 0.0, 0.5], atol=1e-9)
+
+
+# near-collinear nodes (D4), a pathwise miss of -2.4e-10 (D8), and
+# two-asset nodes with k = 2, whose support rows are collinear (corpus 63)
+HARD_DECOMPOSITIONS = [((6, 3, 2, 1), 1), ((4, 3, 1, 154), 154), ("corpus", 53),
+                       ("corpus", 69), ("corpus", 63)]
+
+
+@pytest.mark.parametrize("shape,seed", HARD_DECOMPOSITIONS)
+def test_decomposition_on_hard_instances(shape, seed):
+    if shape == "corpus":
+        tree, claim = corpus_instance(seed)
+    else:
+        depth, branching, assets, tree_seed = shape
+        tree = random_tree(depth, branching, assets, seed=tree_seed)
+        claim = random_claim(tree, seed=seed)
+    surf = superrep_surface(tree, claim, decompose=True)
+    assert surf.decomposed and surf.qp_nodes == 0
+    g = gains(tree, surf.psi)
+    margin = surf.values[0] + g[tree.terminal_nodes] - claim.values
+    assert margin.min() >= -Tolerances().constraint
+    assert surf.dk.min() >= 0.0
+    k = tree.forward(np.add, surf.dk)
+    np.testing.assert_allclose(surf.values, surf.values[0] + g - k, rtol=0, atol=1e-10)
