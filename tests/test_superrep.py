@@ -16,7 +16,9 @@ from indifftree import (ClaimSpec, EventTree, NoArbitrageViolated, Tolerances,
                         random_claim, random_strategy, random_tree,
                         subrep_surface, superrep_surface)
 from indifftree.lattice import one_period_tree
-from indifftree.superrep import martingale_vertices, optional_decomposition
+from indifftree import superrep
+from indifftree.superrep import (_min_norm_feasible, martingale_vertices,
+                                 optional_decomposition)
 from conftest import corpus_instance
 
 
@@ -185,6 +187,43 @@ def test_values_match_node_lp_oracle_on_wide_nodes():
         surf = superrep_surface(tree, claim)
         assert np.abs(surf.values - node_lp_oracle(tree, claim)).max() < 1e-9
 
+def test_widest_allowed_nodes_match_node_lp_oracle_and_decompose():
+    # 17 children in one asset (153 subsets) and 9 children in two (129)
+    for branching, assets in ((17, 1), (9, 2)):
+        tree = random_tree(2, branching, assets, seed=3)
+        claim = random_claim(tree, seed=3)
+        surf = superrep_surface(tree, claim, decompose=True)
+        assert np.abs(surf.values - node_lp_oracle(tree, claim)).max() < 1e-9
+        margin = surf.values[0] + gains(tree, surf.psi)[tree.terminal_nodes] - claim.values
+        assert margin.min() >= -Tolerances().constraint and surf.dk.min() >= 0.0
+
+
+def test_nodes_with_too_many_subsets_raise_naming_the_node():
+    angles = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+    ring = 1.0 + 0.1 * np.column_stack([np.cos(angles), np.sin(angles)])
+    tree = one_period_tree([1.0, 1.0], ring, np.full(12, 1 / 12))
+    with pytest.raises(TreeStructureError, match=r"node 0 \(slice 0\) has 12 children "
+                       r"and 2 assets: 298 column subsets"):
+        superrep_surface(tree, ClaimSpec(ring[:, 0]))
+    with pytest.raises(TreeStructureError, match="298 column subsets"):
+        martingale_vertices(ring - 1.0)
+    wide = random_tree(3, 16, 4, seed=1)
+    with pytest.raises(TreeStructureError, match=r"\(slice 2\) has 16 children and 4 "
+                       r"assets: 6884 column subsets"):
+        superrep_surface(wide, random_claim(wide, seed=1))
+
+
+def test_chunked_enumeration_matches_one_batch(monkeypatch):
+    tree = random_tree(3, (2, 8), 3, seed=2)
+    claim = random_claim(tree, seed=2)
+    whole = superrep_surface(tree, claim, decompose=True)
+    monkeypatch.setattr(superrep, "_BATCH", 40)  # 1 to 13 rows per solve
+    chunked = superrep_surface(tree, claim, decompose=True)
+    for field in ("values", "argmax_edge", "psi", "dk"):
+        np.testing.assert_allclose(getattr(chunked, field), getattr(whole, field),
+                                   rtol=0, atol=1e-13)
+
+
 
 def test_values_match_node_lp_oracle_with_duplicated_asset():
     # one asset listed twice: every vertex has two children, not d + 1 = 3
@@ -219,6 +258,19 @@ def test_infeasible_decomposition_names_the_node(tree11, call11):
     surf.values[0] -= 0.1        # below C*: no holdings dominate the children
     with pytest.raises(TreeStructureError, match=r"node 0 \(slice 0\)"):
         optional_decomposition(tree11, surf)
+
+
+def test_value_just_below_cstar_is_rejected(tree11, call11):
+    # the quadratic program keeps the support solve's relative slack, so a
+    # root value 1e-10 below C* is not decomposed with a clipped dk
+    surf = superrep_surface(tree11, call11)
+    surf.values[0] -= 1e-10
+    with pytest.raises(TreeStructureError, match=r"node 0 \(slice 0\)"):
+        optional_decomposition(tree11, surf)
+    a = np.array([[1.0], [-1.0]])
+    assert _min_norm_feasible(a, np.array([1.0, -1.0 + 1e-10])) is None
+    np.testing.assert_allclose(_min_norm_feasible(a, np.array([1.0, -1.0 + 1e-13])), [1.0],
+                               rtol=0, atol=1e-12)
 
 
 def test_degenerate_vertex_goes_to_the_qp():
