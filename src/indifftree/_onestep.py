@@ -246,8 +246,7 @@ def sweep_error(route, sol, ds, nodes, t, alphas=None):
     return unsolved_error(route, sol, ds, where)
 
 
-def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12,
-                              max_iter=NEWTON_MAX_ITER, lam0=None) -> BatchResult:
+def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12) -> BatchResult:
     """Solve the entropic tilt problem for a batch of nodes.
 
     Parameters
@@ -257,23 +256,20 @@ def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12,
     cost : (m, k) continuation costs added inside the relative entropy.
     newton_tol : absolute tolerance on the tilted increment mean
         (scaled by max(1, |ds|_inf) per row).
-    lam0 : optional (m, d) warm start for the multiplier.
 
     Returns the optimal kernels, multipliers lam, and the value
     -log sum_i p_i exp(-cost_i + lam . ds_i).
     """
     ds = np.asarray(ds, dtype=np.float64)
     a = np.asarray(logp, dtype=np.float64) - np.asarray(cost, dtype=np.float64)
-    sol = lse_newton(a, ds, lam0, floor=ENTROPIC_FLOOR, newton_tol=newton_tol,
-                     max_iter=max_iter)
+    sol = lse_newton(a, ds, floor=ENTROPIC_FLOOR, newton_tol=newton_tol)
     if sol.failed.any():
         raise unsolved_error("entropic", sol, ds, lambda r: f"batch row {r}")
     return BatchResult(sol.w, sol.lam, -sol.lse, sol.iterations, sol.residual,
                        _is_degenerate(ds))
 
 
-def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12,
-                  max_iter=NEWTON_MAX_ITER, theta0=None) -> BatchResult:
+def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12) -> BatchResult:
     """Minimize (1/a) log sum_i q_i exp(a (cont_i - theta . ds_i)) per row.
 
     Stationarity is measured by the softmax-tilted increment mean (the
@@ -282,9 +278,7 @@ def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12,
     """
     alpha = float(alpha)
     a = np.asarray(logq, dtype=np.float64) + alpha * np.asarray(cont, dtype=np.float64)
-    lam0 = None if theta0 is None else -alpha * np.asarray(theta0, dtype=np.float64)
-    sol = lse_newton(a, ds, lam0, floor=HEDGE_FLOOR, newton_tol=newton_tol,
-                     max_iter=max_iter)
+    sol = lse_newton(a, ds, floor=HEDGE_FLOOR, newton_tol=newton_tol)
     if sol.failed.any():
         raise unsolved_error("primal", sol, ds, lambda r: f"batch row {r} (alpha={alpha})")
     return BatchResult(sol.w, -sol.lam / alpha, sol.lse / alpha, sol.iterations,

@@ -33,7 +33,7 @@ from ._onestep import exp_min_batch, gkw_batch
 from .errors import TreeStructureError
 from .lattice import BasisRiskLattice, ClaimSpec, EventTree
 from .measures import MeasureProcess, entropic_projection, minimal_entropy_measure
-from .tolerances import DEFAULT, NEWTON_MAX_ITER, Tolerances
+from .tolerances import DEFAULT, Tolerances
 from .valuation import ValuationResult, indifference_surface
 
 __all__ = [
@@ -318,7 +318,7 @@ def lattice_exact_value(lat: BasisRiskLattice, payoff, alpha: float, *,
         ds = (np.broadcast_to(s[:, None, None], (t + 1, t + 1, 4)) *
               g[None, None, :]).reshape(m, 4, 1)
         res = exp_min_batch(np.broadcast_to(logq, (m, 4)), ds, cont, float(alpha),
-                            newton_tol=tol.newton, max_iter=NEWTON_MAX_ITER)
+                            newton_tol=tol.newton)
         y = res.value.reshape(t + 1, t + 1)
     return float(y[0, 0])
 

@@ -88,12 +88,14 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**data)
-        if cfg.alpha is not None and not cfg.alpha > 0:
-            raise ConfigError("alpha must be positive")
+        if cfg.alpha is not None and not 0 < cfg.alpha < np.inf:
+            raise ConfigError("alpha must be positive and finite")
         if cfg.alpha_grid is not None:
             g = [float(a) for a in cfg.alpha_grid]
-            if any(a <= 0 for a in g) or any(b <= a for a, b in zip(g, g[1:])):
-                raise ConfigError("alpha_grid must be positive and increasing")
+            if not all(0 < a < np.inf for a in g) or any(b <= a for a, b in zip(g, g[1:])):
+                raise ConfigError("alpha_grid must be positive, finite and increasing")
+        if cfg.instances < 1:
+            raise ConfigError("instances must be at least 1")
         return cfg
 
     def tol(self) -> Tolerances:
@@ -333,7 +335,10 @@ def _cmd_verify(cfg, tol):
     assets = int(spec.get("assets", 1))
     for j in range(cfg.instances):
         seed = cfg.seed + 101 * j
-        tree = random_tree(depth, branching, assets, seed=seed)
+        try:
+            tree = random_tree(depth, branching, assets, seed=seed)
+        except TreeStructureError as exc:
+            raise ConfigError(f"bad tree spec: {exc}") from None
         claim = random_claim(tree, seed=seed + 7)
         ent = minimal_entropy_measure(tree, tol=tol)
         res = indifference_surface(tree, claim, cfg.alpha, ent.measure, tol=tol)

@@ -372,11 +372,22 @@ def random_tree(depth, branching=3, assets=1, seed=0, *, vol=0.25,
     Parameters
     ----------
     depth : number of time steps (horizon N).
-    branching : fixed child count, or (lo, hi) for per-node uniform draws.
-    assets : number of traded assets d.
+    branching : fixed child count >= 2, or (lo, hi) with 2 <= lo <= hi for
+        per-node uniform draws.
+    assets : number of traded assets d >= 1.
     seed : RNG seed; equal seeds give bitwise-identical trees.
     vol : scale of relative price moves.
+
+    Out-of-range shapes raise ``TreeStructureError`` naming the field.
     """
+    pair = (branching, branching) if np.isscalar(branching) else tuple(branching)
+    if depth < 0:
+        raise TreeStructureError(f"depth must be at least 0, got {depth}")
+    if len(pair) != 2 or not 2 <= pair[0] <= pair[1]:
+        raise TreeStructureError(f"branching must be k >= 2 or (lo, hi) with "
+                                 f"2 <= lo <= hi, got {branching}")
+    if assets < 1:
+        raise TreeStructureError(f"assets must be at least 1, got {assets}")
     rng = np.random.default_rng(seed)
     times = [0]
     parent = [-1]

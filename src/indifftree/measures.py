@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._onestep import (ENTROPIC_FLOOR, entropic_projection_batch, group_rows,
-                       lse_newton, sweep_error)
+from ._onestep import (ENTROPIC_FLOOR, HEDGE_FLOOR, entropic_projection_batch,
+                       group_rows, lse_newton, sweep_error)
 from .errors import NonMartingaleKernel, TreeStructureError
 from .lattice import ClaimSpec, EventTree, gains
-from .tolerances import DEFAULT, NEWTON_MAX_ITER, Tolerances
+from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "MeasureProcess",
@@ -59,9 +59,9 @@ class MeasureProcess:
                    require_martingale: bool = True,
                    tol: Tolerances = DEFAULT) -> "MeasureProcess":
         q = np.asarray(edge_prob, dtype=np.float64).copy()
-        q[0] = 1.0
         if q.shape != (tree.n_nodes,):
             raise TreeStructureError("edge probability array has wrong length")
+        q[0] = 1.0
         if np.any(q[1:] <= 0.0):
             raise TreeStructureError("measure kernels must be strictly positive")
         mass = tree.reduce_children(np.add, q)
@@ -130,8 +130,7 @@ class OneStepProjection:
     degenerate: bool
 
 
-def entropic_projection(p, ds, cost=None, *, tol: Tolerances = DEFAULT,
-                        lam0=None) -> OneStepProjection:
+def entropic_projection(p, ds, cost=None, *, tol: Tolerances = DEFAULT) -> OneStepProjection:
     """Single-node entropic tilt onto the martingale constraint.
 
     Minimizes ``sum_i q_i (log(q_i / p_i) + cost_i)`` over strictly
@@ -144,7 +143,6 @@ def entropic_projection(p, ds, cost=None, *, tol: Tolerances = DEFAULT,
     p : (k,) strictly positive reference kernel.
     ds : (k, d) price increments.
     cost : (k,) continuation costs (defaults to zero).
-    lam0 : optional warm start for the multiplier.
 
     Raises ``NoArbitrageViolated`` when no strictly positive martingale
     kernel exists; rank-deficient increments are not an error — the
@@ -158,54 +156,72 @@ def entropic_projection(p, ds, cost=None, *, tol: Tolerances = DEFAULT,
         raise TreeStructureError("ds must have shape (k, d)")
     k = p.shape[0]
     cost = np.zeros(k) if cost is None else np.asarray(cost, dtype=np.float64)
-    res = entropic_projection_batch(
-        np.log(p)[None, :], ds[None, :, :], cost[None, :],
-        newton_tol=tol.newton, max_iter=NEWTON_MAX_ITER,
-        lam0=None if lam0 is None else np.atleast_2d(lam0))
+    res = entropic_projection_batch(np.log(p)[None, :], ds[None, :, :], cost[None, :],
+                                    newton_tol=tol.newton)
     return OneStepProjection(res.q[0], res.multiplier[0], float(res.value[0]),
                              int(res.iterations[0]), float(res.residual[0]),
                              bool(res.degenerate[0]))
 
 
 def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
-                    alphas=None):
-    """Backward entropic recursion for a batch of terminal-cost rows.
+                    alphas=None, *, logp=None, lam0=None, route="entropic",
+                    stop_members=None, stop_values=None):
+    """Backward entropic recursion for a batch of terminal-cost rows, the
+    package's one Newton backward sweep.
 
     ``costs`` is (B, n_term); every (slice, k) group of the tree is one
-    kernel call over its B * m rows.  ``alphas`` (B,), when given, only
-    labels the rows in solver errors.  Returns per-row surfaces
-    ``(J (B, n), lam (B, n, d), q_edge (B, n))`` and the diagnostics
-    ``iterations`` and ``max_residual`` (B,).
+    kernel call over its B * m rows, ``J = -min_lam lse(logp - J_child +
+    lam . dS)`` with ``logp`` the reference log-kernels (default: the
+    tree's) and ``lam0`` an optional (B, n, d) warm start.  The primal
+    hedge is this recursion under Q^E with cost ``-alpha B`` (J = -alpha C,
+    lam = -alpha theta); ``route="primal"`` selects its stall floor and
+    error label.  ``alphas`` (B,), when given, only labels rows in errors.
+    A stopping rule's members are terminal with the given (B, len(members))
+    costs, and nodes strictly after the rule read NaN.  Returns ``(J (B, n),
+    lam (B, n, d), q_edge (B, n), diag)``, diag holding ``iterations`` and
+    ``max_residual`` (B,) and ``valid``, a stopped sweep's node mask.
     """
     costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
     nb = costs.shape[0]
     if costs.shape != (nb, tree.terminal_nodes.size):
         raise TreeStructureError("terminal cost must align with the terminal slice")
     n, d = tree.n_nodes, tree.n_assets
+    floor = HEDGE_FLOOR if route == "primal" else ENTROPIC_FLOOR
     value = np.zeros((nb, n))
     value[:, tree.terminal_nodes] = costs
     lam = np.zeros((nb, n, d))
     q_edge = np.zeros((nb, n))
     q_edge[:, 0] = 1.0
+    stop_mask = np.zeros(n, dtype=bool)
+    if stop_members is not None:
+        stop_mask[stop_members] = True
+        value[:, stop_members] = stop_values
     iterations = np.zeros(nb, dtype=np.int64)
     max_resid = np.zeros(nb)
-    logp = np.log(tree.edge_prob)
+    logp = np.log(tree.edge_prob) if logp is None else logp
     groups = tree.groups()
     for t in range(tree.horizon - 1, -1, -1):
         for nodes, ch in groups[t].values():
             m, k = ch.shape
             rows = group_rows(tree.dprice[ch], nb)
             sol = lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
-                             floor=ENTROPIC_FLOOR, newton_tol=tol.newton,
-                             max_iter=NEWTON_MAX_ITER)
+                             None if lam0 is None else lam0[:, nodes].reshape(nb * m, d),
+                             floor=floor, newton_tol=tol.newton)
             if sol.failed.any():
-                raise sweep_error("entropic", sol, rows, nodes, t, alphas)
-            value[:, nodes] = -sol.lse.reshape(nb, m)
+                raise sweep_error(route, sol, rows, nodes, t, alphas)
+            # the rule's members keep their given costs
+            value[:, nodes] = np.where(stop_mask[nodes], value[:, nodes],
+                                       -sol.lse.reshape(nb, m))
             lam[:, nodes] = sol.lam.reshape(nb, m, d)
             q_edge[:, ch] = sol.w.reshape(nb, m, k)
             iterations += sol.iterations.reshape(nb, m).sum(axis=1)
             np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
-    diag = {"iterations": iterations, "max_residual": max_resid}
+    valid = None
+    if stop_members is not None:
+        after = tree.forward(np.logical_or, np.r_[False, stop_mask[tree.parent[1:]]])
+        value[:, after] = lam[:, after] = np.nan
+        valid = ~after
+    diag = {"iterations": iterations, "max_residual": max_resid, "valid": valid}
     return value, lam, q_edge, diag
 
 

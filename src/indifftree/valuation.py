@@ -4,7 +4,10 @@ Two independent routes compute the same surface:
 
 * primal — a backward sweep where each node solves the one-step
   exponential hedging problem under the entropy-optimal martingale
-  measure:  C_t = (1/a) log min_theta E[ exp(a (C_{t+1} - theta . dS)) ].
+  measure Q^E:  C_t = (1/a) log min_theta E[ exp(a (C_{t+1} - theta . dS)) ].
+  With J = -a C and lam = -a theta this is the entropic recursion with
+  Q^E as reference kernels and terminal cost ``-a B``, so it runs on the
+  one sweep engine of :mod:`measures` and reads back C = -J / a.
 
 * dual — the difference of two entropic recursions under the reference
   measure, one with terminal cost ``-a B`` and one with zero cost,
@@ -22,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._onestep import HEDGE_FLOOR, exp_min_batch, group_rows, lse_newton, sweep_error
+from ._onestep import exp_min_batch
 from .errors import NonMartingaleKernel, TreeStructureError
 from .lattice import ClaimSpec, EventTree, gains, random_strategy, validate_stopping_rule
 from .measures import (EntropyResult, MeasureProcess, _entropic_sweep, _entropy_result,
                        minimal_entropy_measure)
-from .tolerances import DEFAULT, NEWTON_MAX_ITER, Tolerances
+from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "ValuationSurface",
@@ -71,8 +74,7 @@ class DualResult:
     claim_leg: EntropyResult
 
 
-def one_step_primal(q, ds, cont, alpha, *, theta0=None,
-                    tol: Tolerances = DEFAULT):
+def one_step_primal(q, ds, cont, alpha, *, tol: Tolerances = DEFAULT):
     """Single-node exponential hedging step.
 
     Returns ``(value, theta)`` with
@@ -93,24 +95,22 @@ def one_step_primal(q, ds, cont, alpha, *, theta0=None,
             f"one-step kernel drift {np.abs(drift).max():.3e}; the hedging "
             "objective is unbounded below")
     res = exp_min_batch(np.log(q)[None, :], ds[None, :, :], cont[None, :],
-                        float(alpha), newton_tol=tol.newton,
-                        max_iter=NEWTON_MAX_ITER,
-                        theta0=None if theta0 is None else np.atleast_2d(theta0))
+                        float(alpha), newton_tol=tol.newton)
     return float(res.value[0]), res.multiplier[0]
 
 
 def _primal_sweep(tree: EventTree, measure: MeasureProcess, claims: np.ndarray,
                   alphas, *, theta0=None, stop_members=None, stop_values=None,
                   tol: Tolerances = DEFAULT):
-    """Backward exponential-hedging sweep of a batch of claims under the
-    martingale measure ``measure``.
+    """Exponential-hedging sweep of a batch of claims under the martingale
+    measure ``measure``: the entropic recursion with ``measure`` as
+    reference kernels and cost ``-alpha B``, read back as C = -J / alpha
+    and theta = -lam / alpha.
 
-    ``claims`` is (B, n_term) terminal values and ``alphas`` (B,) the
-    positive per-row risk aversions; ``theta0`` is an optional (B, n, d)
-    warm start.  Every (slice, k) group of the tree is one kernel call over
-    its B * m rows.  When a stopping rule is supplied the sweep treats
-    its members as terminal with the given (B, len(members)) values;
-    nodes strictly after the rule are flagged invalid in the returned
+    ``claims`` is (B, n_term) terminal values, ``alphas`` (B,) the positive
+    per-row risk aversions and ``theta0`` an optional (B, n, d) warm start.
+    A stopping rule's members are terminal with the given (B, len(members))
+    values; nodes strictly after it read NaN and are False in the returned
     mask.  Returns ``(values (B, n), theta (B, n, d), iterations (B,),
     max_residual (B,), valid)``.
     """
@@ -121,47 +121,20 @@ def _primal_sweep(tree: EventTree, measure: MeasureProcess, claims: np.ndarray,
         raise ValueError("risk aversion must be positive")
     if not measure.martingale:
         raise NonMartingaleKernel("the valuation measure must be a martingale measure")
-    n, d = tree.n_nodes, tree.n_assets
-    values = np.zeros((nb, n))
-    values[:, tree.terminal_nodes] = claims
-    theta = np.zeros((nb, n, d))
-    stop_mask = np.zeros(n, dtype=bool)
-    if stop_members is not None:
-        members = np.asarray(stop_members, dtype=np.int64)
-        stop_mask[members] = True
-        stop = np.zeros((nb, n))
-        stop[:, members] = stop_values
-        values[:, members] = stop[:, members]
-    logq = np.log(measure.edge_prob)
-    iterations = np.zeros(nb, dtype=np.int64)
-    max_resid = np.zeros(nb)
-    groups = tree.groups()
-    for t in range(tree.horizon - 1, -1, -1):
-        for nodes, ch in groups[t].values():
-            m, k = ch.shape
-            rows = group_rows(tree.dprice[ch], nb)
-            lam0 = None if theta0 is None else \
-                (-alphas[:, None, None] * theta0[:, nodes]).reshape(nb * m, d)
-            a = (logq[ch] + alphas[:, None, None] * values[:, ch]).reshape(nb * m, k)
-            sol = lse_newton(a, rows, lam0, floor=HEDGE_FLOOR,
-                             newton_tol=tol.newton, max_iter=NEWTON_MAX_ITER)
-            if sol.failed.any():
-                raise sweep_error("primal", sol, rows, nodes, t, alphas)
-            values[:, nodes] = sol.lse.reshape(nb, m) / alphas[:, None]
-            theta[:, nodes] = sol.lam.reshape(nb, m, d) / -alphas[:, None, None]
-            iterations += sol.iterations.reshape(nb, m).sum(axis=1)
-            np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
-        if stop_members is not None:
-            in_slice = tree.slice_nodes(t)
-            in_slice = in_slice[stop_mask[in_slice]]
-            values[:, in_slice] = stop[:, in_slice]
-    valid = None
-    if stop_members is not None:
-        after = tree.forward(np.logical_or, np.r_[False, stop_mask[tree.parent[1:]]])
-        values[:, after] = np.nan
-        theta[:, after] = np.nan
-        valid = ~after
-    return values, theta, iterations, max_resid, valid
+    scale = -alphas[:, None]
+    j, lam, _, diag = _entropic_sweep(
+        tree, scale * claims, tol, alphas, logp=np.log(measure.edge_prob),
+        lam0=None if theta0 is None else scale[:, :, None] * theta0, route="primal",
+        stop_members=stop_members,
+        stop_values=None if stop_values is None else scale * stop_values)
+    values = j / scale
+    # the given values stay exact: -(-alpha B) / alpha can miss B by an ulp
+    if stop_members is None:
+        values[:, tree.terminal_nodes] = claims
+    else:
+        values[:, stop_members] = stop_values
+    return values, lam / scale[:, :, None], diag["iterations"], diag["max_residual"], \
+        diag["valid"]
 
 
 def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,

@@ -18,10 +18,10 @@ from indifftree import (ClaimSpec, arbitrage_bounds_check, asymptotics,
                         minimal_entropy_measure, property_checks, random_claim,
                         random_tree, small_alpha_sweep, valuation)
 from indifftree.errors import NewtonConvergenceError
-from indifftree.lattice import EventTree
+from indifftree.lattice import EventTree, random_stopping_rule
 from indifftree.measures import _entropic_sweep
 from indifftree.tolerances import DEFAULT
-from indifftree.valuation import _primal_sweep, _time_measurable
+from indifftree.valuation import _primal_sweep, _time_measurable, one_step_primal
 from conftest import corpus_instance
 
 ALPHAS = (1e-6, 0.25, 1.0, 8.0)
@@ -59,6 +59,58 @@ def test_batched_entropic_sweep_equals_row_sweeps(shape):
         assert np.abs(lam[b] - lam1[0]).max() <= 1e-13
         assert np.abs(q_edge[b] - q1[0]).max() <= 1e-13
         assert diag["iterations"][b] == diag1["iterations"][0]
+
+
+def test_primal_sweep_returns_the_claim_exactly_at_the_horizon():
+    # the sweep runs on J = -alpha C, and -(-alpha B) / alpha can miss B
+    tree = random_tree(3, 3, 1, seed=7)
+    claims = _claims(tree, 3, 400)
+    values = _primal_sweep(tree, minimal_entropy_measure(tree).measure, claims,
+                           (1e-6, 0.3, 3.0))[0]
+    assert np.array_equal(values[:, tree.terminal_nodes], claims)
+
+
+def _stopped_walk(tree, measure, alpha, members, stop_values):
+    """One ``one_step_primal`` per node, bottom-up, with the rule's members
+    held at their given values; nodes after the rule stay NaN."""
+    is_member = np.zeros(tree.n_nodes, dtype=bool)
+    is_member[members] = True
+    before = np.zeros(tree.n_nodes, dtype=bool)  # strictly before the rule
+    for i in range(tree.n_nodes):
+        before[i] = not is_member[i] and (i == 0 or before[tree.parent[i]])
+    values = np.full(tree.n_nodes, np.nan)
+    values[members] = stop_values
+    theta = np.full((tree.n_nodes, tree.n_assets), np.nan)
+    q = measure.edge_prob
+    for i in reversed(range(tree.n_nodes)):
+        if before[i]:
+            kids = tree.children_of(i)
+            values[i], theta[i] = one_step_primal(q[kids], tree.dprice[kids],
+                                                  values[kids], alpha)
+    return values, theta, before
+
+
+@pytest.mark.parametrize("shape", SHAPES[::2])
+def test_stopped_primal_sweep_matches_per_node_walk(shape):
+    tree = random_tree(*shape, seed=3)
+    measure = minimal_entropy_measure(tree).measure
+    alphas = (1e-6, 1.0, 8.0)
+    claims = _claims(tree, len(alphas), 300)
+    members = random_stopping_rule(tree, seed=5)
+    stop_values = np.random.default_rng(9).uniform(-1.0, 1.0, (len(alphas), members.size))
+    values, theta, _, _, valid = _primal_sweep(tree, measure, claims, alphas,
+                                               stop_members=members,
+                                               stop_values=stop_values)
+    for b, alpha in enumerate(alphas):
+        v1, th1, before = _stopped_walk(tree, measure, alpha, members, stop_values[b])
+        assert np.array_equal(np.isnan(values[b]), np.isnan(v1))
+        assert np.array_equal(valid, ~np.isnan(v1))
+        assert np.array_equal(np.isnan(theta[b]).all(axis=1), ~valid)
+        assert np.array_equal(values[b][members], stop_values[b])
+        assert np.nanmax(np.abs(values[b] - v1)) <= 1e-12
+        # a member's hedge is that of the unstopped continuation: compare
+        # the hedges strictly before the rule
+        assert np.abs(theta[b][before] - th1[before]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -206,3 +206,34 @@ def test_cli_flags_override_config(tmp_path):
         summary = json.load(fh)
     assert summary["alpha"] == 4.0
     assert summary["c0_primal"] > 0.06943319084140676  # monotone in alpha
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-large", "--alpha-grid", "1,nan"],
+    ["sweep-small", "--alpha-grid", "nan,0.5"],
+    ["price", "--alpha", "inf"],
+])
+def test_non_finite_alpha_is_exit_1(tmp_path, capsys, argv):
+    assert main([*argv, *BASE, "--out", str(tmp_path)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["price", "verify"])
+@pytest.mark.parametrize("flags, field", [
+    (["--depth", "-1"], "depth"),
+    (["--branching", "0"], "branching"),
+    (["--branching", "1,3"], "branching"),
+    (["--assets", "0"], "assets"),
+])
+def test_bad_tree_shape_is_exit_1_naming_the_field(tmp_path, capsys, command,
+                                                   flags, field):
+    assert main([command, "--seed", "11", *flags, "--instances", "1",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad tree spec" in err and field in err
+
+
+def test_verify_rejects_zero_instances(tmp_path, capsys):
+    assert main(["verify", *BASE, "--instances", "0", "--out", str(tmp_path)]) == 1
+    assert "instances" in capsys.readouterr().err
+    assert not (tmp_path / "verify-11.json").exists()

@@ -166,3 +166,16 @@ def test_basis_risk_lattice_geometry():
     assert lat.joint_prob.min() > 0.0
     with pytest.raises(TreeStructureError):
         basis_risk_lattice(8, rho=1.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"depth": -1}, "depth"),
+    ({"depth": 2, "branching": 0}, "branching"),
+    ({"depth": 2, "branching": 1}, "branching"),
+    ({"depth": 2, "branching": (1, 3)}, "branching"),
+    ({"depth": 2, "branching": (4, 3)}, "branching"),
+    ({"depth": 2, "assets": 0}, "assets"),
+])
+def test_random_tree_rejects_bad_shapes_naming_the_field(kwargs, field):
+    with pytest.raises(TreeStructureError, match=field):
+        random_tree(**kwargs)

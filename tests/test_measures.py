@@ -15,7 +15,8 @@ from indifftree import (binomial_tree, claim_tilted_measure,
                         minimal_entropy_measure, node_probabilities,
                         random_claim, random_tree, relative_entropy,
                         verify_entropy_structure)
-from indifftree.measures import expected_remaining
+from indifftree.errors import TreeStructureError
+from indifftree.measures import MeasureProcess, expected_remaining
 from conftest import corpus_instance
 
 
@@ -231,3 +232,9 @@ def test_claim_tilt_reduces_to_plain_entropy_at_zero(tree11, call11):
 def test_scale_constant_consistency(tree11, entropy11):
     assert abs(entropy11.scale_constant
                - np.exp(entropy11.value_surface[0])) < 1e-14
+
+
+@pytest.mark.parametrize("edge_prob", [np.zeros(0), np.float64(0.5)])
+def test_from_edges_rejects_wrong_shape_before_writing(tree11, edge_prob):
+    with pytest.raises(TreeStructureError, match="wrong length"):
+        MeasureProcess.from_edges(tree11, edge_prob)
