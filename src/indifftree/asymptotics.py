@@ -32,12 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import _bmo_sq, bmo_norms, bsde_scheme, exact_decomposition
+from .bsde import (_bmo_sq, _decompose, bracket_weights, bsde_scheme,
+                   exact_decomposition)
 from .errors import ConfigError
 from .lattice import ClaimSpec, EventTree, gains, random_stopping_rule
-from .measures import (MeasureProcess, expected_remaining,
-                       minimal_entropy_measure, node_probabilities)
-from .superrep import optional_decomposition, superrep_surface
+from .measures import (MeasureProcess, conditional_expectation,
+                       expected_remaining, minimal_entropy_measure,
+                       node_probabilities)
+from .superrep import superrep_surface
 from .tolerances import DEFAULT, Tolerances
 from .valuation import _surfaces, indifference_surface
 
@@ -119,13 +121,6 @@ def claim_projection(tree: EventTree, claim: ClaimSpec,
     return bsde_scheme(tree, claim, 0.0, measure, tol=tol)
 
 
-def bracket_weights(tree: EventTree, measure: MeasureProcess) -> np.ndarray:
-    """Per-node conditional increment covariance E[dS dS^T | node]."""
-    ds = tree.dprice
-    edge = np.einsum("n,ni,nj->nij", measure.edge_prob, ds, ds)
-    return tree.reduce_children(np.add, edge)
-
-
 def weighted_norm_identity(tree: EventTree, measure: MeasureProcess,
                            theta: np.ndarray):
     """Both sides of the discrete energy identity for a strategy.
@@ -187,9 +182,9 @@ def compensator_identity_residual(tree: EventTree, claim: ClaimSpec,
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
     res = indifference_surface(tree, claim, alpha, measure, tol=tol)
-    sol = exact_decomposition(tree, res, measure)
-    ve = bsde_scheme(tree, claim, 0.0, measure, tol=tol).values
-    remaining = expected_remaining(tree, measure, sol.compensator_step)
+    remaining = expected_remaining(
+        tree, measure, exact_decomposition(tree, res, measure).compensator_step)
+    ve = conditional_expectation(tree, measure, claim.values)
     return float(np.abs(res.surface.values - ve - remaining).max())
 
 
@@ -221,23 +216,25 @@ def small_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
     grid = _check_grid(grid, 0.0, 1.0, "small-alpha")
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    proj = claim_projection(tree, claim, measure, tol=tol)
-    cols = {k: [] for k in ("dist_sup", "dist_psi_sq", "dist_L_sq",
-                            "bmo_psi", "bmo_L", "comp_dist")}
-    surfaces = _surfaces(tree, measure, [(claim.values, a) for a in grid], tol)
-    for a, values in zip(grid, surfaces):
-        sol = exact_decomposition(tree, values, measure, alpha=a)
-        remaining = expected_remaining(tree, measure, sol.compensator_step)
-        cols["dist_sup"].append(float(np.abs(values - proj.values).max()))
-        cols["comp_dist"].append(float(np.abs(
-            values - proj.values - remaining).max()))
-        dpsi_sq, dl_sq = _bmo_sq(
-            tree, measure, sol.psi - proj.psi, sol.d_orth - proj.d_orth)
-        cols["dist_psi_sq"].append(dpsi_sq)
-        cols["dist_L_sq"].append(dl_sq)
-        bm = bmo_norms(tree, sol, measure)
-        cols["bmo_psi"].append(bm.bmo_psi)
-        cols["bmo_L"].append(bm.bmo_orth)
+    # the last row, E[B | F_t], decomposes into the claim projection
+    surfaces = np.vstack([
+        _surfaces(tree, measure, [(claim.values, a) for a in grid], tol),
+        conditional_expectation(tree, measure, claim.values)])
+    sol = _decompose(tree, measure, surfaces, [*grid, 0.0], scheme=False)
+    values, proj = surfaces[:-1], surfaces[-1]
+    remaining = expected_remaining(tree, measure, sol.compensator_step[:-1].T).T
+    dpsi_sq, dl_sq = _bmo_sq(tree, measure, sol.psi[:-1] - sol.psi[-1],
+                             sol.d_orth[:-1] - sol.d_orth[-1])
+    psi_sq, orth_sq = _bmo_sq(tree, measure, sol.psi[:-1], sol.d_orth[:-1])
+    cols = {
+        "dist_sup": np.abs(values - proj).max(axis=1),
+        "dist_psi_sq": dpsi_sq,
+        "dist_L_sq": dl_sq,
+        "bmo_psi": np.sqrt(psi_sq),
+        "bmo_L": np.sqrt(orth_sq),
+        "comp_dist": np.abs(values - proj - remaining).max(axis=1),
+    }
+    cols = {k: v.tolist() for k, v in cols.items()}
     sup_floor = tol.equality / 100.0
     sq_floor = tol.equality ** 2
     slopes = {
@@ -309,98 +306,85 @@ def large_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
     nonterm = tree.times < tree.horizon
 
     star = superrep_surface(tree, claim, decompose=True)
-    star_sol = exact_decomposition(tree, star.values, measure, alpha=np.inf)
     star_entropy = _conditional_entropy(tree, star.argmax_edge,
                                         measure.edge_prob)
     kstar = tree.forward(np.add, star.dk)
-    gain_star = gains(tree, star.psi)
     w = bracket_weights(tree, measure)
 
     rng = np.random.default_rng(seed + 77)
     rules = [random_stopping_rule(tree, seed=int(rng.integers(0, 2 ** 31)))
              for _ in range(n_rules)]
-    tests = [rng.uniform(-1.0, 1.0, size=term.size) for _ in range(n_tests)]
+    tests = rng.uniform(-1.0, 1.0, size=(n_tests, term.size))
 
-    cols = {k: [] for k in ("dist_sup", "dist_psi_sq", "dist_L_sq",
-                            "bmo_psi", "bmo_L", "comp_dist",
-                            "c0", "gap", "wl1_psi", "weak_max")}
-    rule_cols = [[] for _ in rules]
-    bmo_l_dist = []
-    entropy_gap_margin = node_gap_min = np.inf
-    theta0 = None
+    # warm-started pricing, one sweep per a; C* rides as the last row of
+    # the one decomposition
+    values, strategy = [], []
     for a in grid:
-        res = indifference_surface(tree, claim, a, measure, theta0=theta0, tol=tol)
-        theta0 = res.strategy
-        sol = exact_decomposition(tree, res, measure)
-        comp = sol.compensator
-        node_gap = star.values - res.surface.values
-        cols["c0"].append(float(res.surface.values[0]))
-        cols["gap"].append(float(node_gap[0]))
-        cols["dist_sup"].append(float(np.abs(node_gap).max()))
-        node_gap_min = min(node_gap_min, float(node_gap.min()))
-        entropy_gap_margin = min(entropy_gap_margin, float(
-            (star_entropy / a + tol.equality - node_gap).min()))
-        dpsi = res.strategy - star.psi
-        quad = np.einsum("nd,nde,ne->n", dpsi, w, dpsi)
-        cols["dist_psi_sq"].append(float(probs[nonterm] @ quad[nonterm]))
-        cols["wl1_psi"].append(float(
-            probs[nonterm] @ np.sqrt(np.clip(quad[nonterm], 0.0, None))))
-        diff_T = comp[term] - kstar[term]
-        cols["dist_L_sq"].append(float(probs[term] @ diff_T ** 2))
-        cols["comp_dist"].append(float(probs[term] @ np.abs(diff_T)))
-        for j, rule in enumerate(rules):
-            diff = comp[rule] - kstar[rule]
-            rule_cols[j].append(float(probs[rule] @ np.abs(diff)))
-        gd = gains(tree, res.strategy)[term] - gain_star[term]
-        cols["weak_max"].append(max(
-            abs(float(probs[term] @ (phi * gd))) for phi in tests))
-        bm = bmo_norms(tree, sol, measure)
-        cols["bmo_psi"].append(bm.bmo_psi)
-        cols["bmo_L"].append(bm.bmo_orth)
-        _, dl_sq = _bmo_sq(tree, measure, res.strategy - star_sol.psi,
-                           sol.d_orth - star_sol.d_orth)
-        bmo_l_dist.append(float(np.sqrt(dl_sq)))
-    for j in range(len(rules)):
-        cols[f"comp_dist_rule{j}"] = rule_cols[j]
-    cols["bmo_L_dist"] = bmo_l_dist
-
-    def monotone_up(xs):
-        return bool(all(b >= a - 1e-12 for a, b in zip(xs, xs[1:])))
-
-    def monotone_down(xs):
-        return bool(all(b <= a + 1e-12 for a, b in zip(xs, xs[1:])))
-
+        res = indifference_surface(tree, claim, a, measure,
+                                   theta0=strategy[-1] if strategy else None, tol=tol)
+        values.append(res.surface.values)
+        strategy.append(res.strategy)
+    values, strategy = np.array(values), np.array(strategy)
+    sol = _decompose(tree, measure, np.vstack([values, star.values]),
+                     [*grid, np.inf], scheme=False)
+    comp = sol.compensator[:-1]
+    node_gap = star.values - values
+    dpsi = strategy - star.psi
+    quad = np.einsum("bnd,nde,bne->bn", dpsi, w, dpsi)[:, nonterm]
+    diff_T = comp[:, term] - kstar[term]
+    gd = np.array([gains(tree, th)[term] for th in dpsi])
+    psi_sq, orth_sq = _bmo_sq(tree, measure, sol.psi[:-1], sol.d_orth[:-1])
+    _, dl_sq = _bmo_sq(tree, measure, strategy - sol.psi[-1],
+                       sol.d_orth[:-1] - sol.d_orth[-1])
+    cols = {
+        "dist_sup": np.abs(node_gap).max(axis=1),
+        "dist_psi_sq": quad @ probs[nonterm],
+        "dist_L_sq": diff_T ** 2 @ probs[term],
+        "bmo_psi": np.sqrt(psi_sq),
+        "bmo_L": np.sqrt(orth_sq),
+        "comp_dist": np.abs(diff_T) @ probs[term],
+        "c0": values[:, 0],
+        "gap": node_gap[:, 0],
+        "wl1_psi": np.sqrt(np.clip(quad, 0.0, None)) @ probs[nonterm],
+        "weak_max": np.abs((gd * probs[term]) @ tests.T).max(axis=1),
+    }
+    for j, rule in enumerate(rules):
+        cols[f"comp_dist_rule{j}"] = np.abs(comp[:, rule] - kstar[rule]) @ probs[rule]
+    cols["bmo_L_dist"] = np.sqrt(dl_sq)
+    alphas = np.array(grid)
     bnorm = claim.sup_norm
     bound_psi = np.sqrt(2.0) * np.exp(bnorm) * 1.1
     bound_l = 2.0 * np.exp(2.0 * bnorm) * 1.1
-    lhs_l = max((1.0 + a) * b * b for a, b in zip(grid, cols["bmo_L"]))
+    lhs_l = float(((1.0 + alphas) * cols["bmo_L"] * cols["bmo_L"]).max())
+    bmo_psi_max = float(cols["bmo_psi"].max())
     h_max = float(star_entropy.max())
     dist_bound = np.sqrt(tree.horizon) * h_max
-    slopes = {"bmo_L": fit_loglog_slope(grid, cols["bmo_L"],
-                                        floor=tol.equality / 100.0)}
     extras = {
-        "monotone_c0": monotone_up(cols["c0"]),
-        "monotone_gap": monotone_down(cols["gap"]),
-        "monotone_comp_dist": monotone_down(cols["comp_dist"]),
-        "monotone_wl1_psi": monotone_down(cols["wl1_psi"]),
-        "final_gap": cols["gap"][-1],
-        "final_comp_dist": cols["comp_dist"][-1],
-        "final_wl1_psi": cols["wl1_psi"][-1],
-        "final_weak_max": cols["weak_max"][-1],
+        "monotone_c0": bool(np.all(np.diff(cols["c0"]) >= -1e-12)),
+        "monotone_gap": bool(np.all(np.diff(cols["gap"]) <= 1e-12)),
+        "monotone_comp_dist": bool(np.all(np.diff(cols["comp_dist"]) <= 1e-12)),
+        "monotone_wl1_psi": bool(np.all(np.diff(cols["wl1_psi"]) <= 1e-12)),
+        "final_gap": float(cols["gap"][-1]),
+        "final_comp_dist": float(cols["comp_dist"][-1]),
+        "final_wl1_psi": float(cols["wl1_psi"][-1]),
+        "final_weak_max": float(cols["weak_max"][-1]),
         "cstar0": float(star.values[0]),
-        "bmo_psi_max": max(cols["bmo_psi"]),
+        "bmo_psi_max": bmo_psi_max,
         "bmo_psi_bound": bound_psi,
-        "bmo_psi_margin": bound_psi - max(cols["bmo_psi"]),
+        "bmo_psi_margin": bound_psi - bmo_psi_max,
         "weighted_bmo_L_sq_max": lhs_l,
         "weighted_bmo_L_sq_bound": bound_l,
         "weighted_bmo_L_sq_margin": bound_l - lhs_l,
         "cstar_entropy_max": h_max,
-        "entropy_gap_margin": entropy_gap_margin,
-        "node_gap_min": node_gap_min,
-        "bmo_L_dist_margin": min(
-            dist_bound / a + tol.equality - d
-            for a, d in zip(grid, cols["bmo_L_dist"])),
+        "entropy_gap_margin": float(
+            (star_entropy / alphas[:, None] + tol.equality - node_gap).min()),
+        "node_gap_min": float(node_gap.min()),
+        "bmo_L_dist_margin": float(
+            (dist_bound / alphas + tol.equality - cols["bmo_L_dist"]).min()),
     }
+    cols = {k: v.tolist() for k, v in cols.items()}
+    slopes = {"bmo_L": fit_loglog_slope(grid, cols["bmo_L"],
+                                        floor=tol.equality / 100.0)}
     return SweepReport(grid, cols, slopes, extras)
 
 

@@ -12,11 +12,14 @@ compensator increment.  Two routes are provided:
 
 * ``exact_decomposition`` splits the exact primal surface; its
   compensator is the Doob decomposition of the value supermartingale.
+  Every term is one-step: the split is one pass over all edges.
 * ``bsde_scheme`` runs the explicit quadratic recursion
   Y = E[Y'] + (a/2) E[dL^2], whose compensator increment is exactly
   (a/2) times the one-step residual bracket; it coincides with the
   exact surface on attainable claims and differs at third order
-  otherwise.
+  otherwise.  It runs one pass per time slice.
+
+Both take a batch of value rows, so an alpha grid is one call.
 
 The module also provides discrete BMO-type norms of the two martingale
 parts, a node-wise comparison check between ordered claims, the
@@ -25,7 +28,7 @@ sweeps on the recombining two-factor basis-risk lattice for
 step-refinement studies.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .errors import TreeStructureError
 from .lattice import BasisRiskLattice, ClaimSpec, EventTree
 from .measures import MeasureProcess, entropic_projection, minimal_entropy_measure
 from .tolerances import DEFAULT, Tolerances
-from .valuation import ValuationResult, indifference_surface
+from .valuation import ValuationResult, _surfaces
 
 __all__ = [
     "BsdeSolution",
@@ -119,35 +122,62 @@ def gkw_step(q, ds, v):
     return float(mean[0]), psi[0], dl[0]
 
 
-def _decompose(tree: EventTree, measure: MeasureProcess, values: np.ndarray,
-               alpha: float, route: str, scheme: bool) -> BsdeSolution:
-    n = tree.n_nodes
-    vals = values.copy()
-    psi = np.zeros((n, tree.n_assets))
-    d_orth = np.zeros(n)
-    step_bracket = np.zeros(n)
-    comp_step = np.zeros(n)
-    q = measure.edge_prob
-    groups = tree.groups()
-    for t in range(tree.horizon - 1, -1, -1):
-        for _k, (nodes, ch) in groups[t].items():
-            mean, p, dl = gkw_batch(q[ch], tree.dprice[ch], vals[ch])
-            sb = np.einsum("mk,mk->m", q[ch], dl * dl)
-            psi[nodes] = p
-            d_orth[ch] = dl
-            step_bracket[nodes] = sb
-            if scheme:
-                comp_step[nodes] = 0.5 * alpha * sb
-                vals[nodes] = mean + 0.5 * alpha * sb
-            else:
-                comp_step[nodes] = vals[nodes] - mean
-    par = tree.parent[1:]  # a node's predictable step counts on the edges leaving it
-    return BsdeSolution(
-        vals, psi, d_orth, step_bracket, comp_step,
-        tree.forward(np.add, np.r_[0.0, step_bracket[par]]),
-        tree.forward(np.add, d_orth * d_orth),
-        tree.forward(np.add, np.r_[0.0, comp_step[par]]),
-        float(alpha), route)
+def bracket_weights(tree: EventTree, measure: MeasureProcess) -> np.ndarray:
+    """Per-node conditional increment covariance E[dS dS^T | node]."""
+    ds = tree.dprice
+    edge = np.einsum("n,ni,nj->nij", measure.edge_prob, ds, ds)
+    return tree.reduce_children(np.add, edge)
+
+
+def _decompose(tree: EventTree, measure: MeasureProcess, values, alphas,
+               scheme: bool) -> BsdeSolution:
+    """Decompositions of the rows ``values`` (B, n) at ``alphas`` (B,), every
+    array and ``alpha`` of the :class:`BsdeSolution` leading with the batch
+    axis.  A pass is ``gkw_batch`` at a contiguous range of nodes, the sums
+    over their children taken by reduceat over the edges."""
+    v = np.array(values, dtype=np.float64).T  # node axis first
+    n, nb = v.shape
+    alphas = np.asarray(alphas, dtype=np.float64)
+    q = measure.edge_prob[:, None]
+    bracket = bracket_weights(tree, measure)
+    psi = np.zeros((n, nb, tree.n_assets))
+    d_orth, step_bracket, comp_step = np.zeros((3, n, nb))
+    # a node's predictable steps, read on the edges leaving it
+    lag_bracket, lag_comp = np.zeros((2, n, nb))
+    b = np.searchsorted(tree.times, np.arange(tree.horizon + 2))
+    if scheme:  # the recursion: slice t reads the values just set at t + 1
+        passes = [(slice(b[t], b[t + 1]), slice(b[t + 1], b[t + 2]))
+                  for t in reversed(range(tree.horizon))]
+    else:  # given surfaces: every non-terminal node over the edges 1..n-1
+        passes = [(slice(0, b[tree.horizon]), slice(1, n))]
+    for nodes, edges in passes:
+        at = tree.child_start[nodes] - edges.start
+        up = tree.parent[edges] - nodes.start
+        ds, m2 = tree.dprice[edges], bracket[nodes]
+        mean = np.add.reduceat(q[edges] * v[edges], at)
+        centered = v[edges] - np.take(mean, up, axis=0)
+        rhs = np.add.reduceat((q[edges] * centered)[..., None] * ds[:, None], at)
+        if tree.n_assets == 1:
+            psi[nodes] = np.divide(rhs, m2, out=np.zeros_like(rhs), where=m2 > 0)
+        else:
+            psi[nodes] = np.einsum("mij,mbj->mbi", np.linalg.pinv(m2, hermitian=True), rhs)
+        d_orth[edges] = centered - np.einsum("ed,ebd->eb", ds,
+                                             np.take(psi[nodes], up, axis=0))
+        step_bracket[nodes] = np.add.reduceat(q[edges] * d_orth[edges] ** 2, at)
+        comp_step[nodes] = 0.5 * alphas * step_bracket[nodes] if scheme else v[nodes] - mean
+        if scheme:
+            v[nodes] = mean + comp_step[nodes]
+        lag_bracket[edges] = np.take(step_bracket[nodes], up, axis=0)
+        lag_comp[edges] = np.take(comp_step[nodes], up, axis=0)
+    path_sums = (tree.forward(np.add, x).T for x in (lag_bracket, d_orth ** 2, lag_comp))
+    return BsdeSolution(v.T, psi.transpose(1, 0, 2), d_orth.T, step_bracket.T,
+                        comp_step.T, *path_sums, alphas, "scheme" if scheme else "exact")
+
+
+def _row(sol: BsdeSolution, b: int) -> BsdeSolution:
+    """Row ``b`` of a batched decomposition as a single-row solution."""
+    arrays = (getattr(sol, f.name)[b] for f in fields(sol) if f.type is np.ndarray)
+    return BsdeSolution(*arrays, float(sol.alpha[b]), sol.route)
 
 
 def bsde_scheme(tree: EventTree, claim: ClaimSpec, alpha: float,
@@ -161,14 +191,13 @@ def bsde_scheme(tree: EventTree, claim: ClaimSpec, alpha: float,
     """
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    values = np.zeros(tree.n_nodes)
-    values[tree.terminal_nodes] = claim.values
-    return _decompose(tree, measure, values, float(alpha), "scheme", scheme=True)
+    return _row(_decompose(tree, measure, claim.full_surface(tree)[None],
+                           [float(alpha)], scheme=True), 0)
 
 
 def exact_decomposition(tree: EventTree, result: ValuationResult | np.ndarray,
-                        measure: MeasureProcess, alpha: float | None = None, *,
-                        tol: Tolerances = DEFAULT) -> BsdeSolution:
+                        measure: MeasureProcess,
+                        alpha: float | None = None) -> BsdeSolution:
     """Edge-wise decomposition of an exact value surface.
 
     Accepts the output of :func:`indifference_surface` (or a raw value
@@ -185,7 +214,8 @@ def exact_decomposition(tree: EventTree, result: ValuationResult | np.ndarray,
         values = np.asarray(result, dtype=np.float64)
         if alpha is None:
             raise ValueError("alpha required with a raw value surface")
-    return _decompose(tree, measure, values, float(alpha), "exact", scheme=False)
+    return _row(_decompose(tree, measure, values[None], [float(alpha)],
+                           scheme=False), 0)
 
 
 def bmo_norms(tree: EventTree, sol: BsdeSolution, measure: MeasureProcess, *,
@@ -196,26 +226,27 @@ def bmo_norms(tree: EventTree, sol: BsdeSolution, measure: MeasureProcess, *,
     increments of X | node ])``.  ``up_to`` truncates the remaining sums
     at a time slice (norms are monotone in the truncation horizon).
     """
-    psi_sq, orth_sq = _bmo_sq(tree, measure, sol.psi, sol.d_orth, up_to)
-    return BmoReport(float(np.sqrt(psi_sq)), float(np.sqrt(orth_sq)),
+    psi_sq, orth_sq = _bmo_sq(tree, measure, sol.psi[None], sol.d_orth[None], up_to)
+    return BmoReport(float(np.sqrt(psi_sq[0])), float(np.sqrt(orth_sq[0])),
                      sol.alpha, sol.route)
 
 
 def _bmo_sq(tree: EventTree, measure: MeasureProcess, psi: np.ndarray,
             d_orth: np.ndarray, up_to: int | None = None):
-    """Squared BMO norms of the hedge part with holdings ``psi`` and of
-    the orthogonal part with edge increments ``d_orth``: the max over
-    nodes of the conditional remaining sums of squared one-step
-    increments, the steps from slice ``up_to`` on dropped."""
+    """Squared BMO norms, (B,) each, of the hedge parts with holdings
+    ``psi`` (B, n, d) and of the orthogonal parts with edge increments
+    ``d_orth`` (B, n): the max over nodes of the conditional remaining
+    sums of squared one-step increments, the steps from slice ``up_to``
+    on dropped."""
     q = measure.edge_prob
-    gain = np.zeros(tree.n_nodes)
-    gain[1:] = np.einsum("nd,nd->n", tree.dprice[1:], psi[tree.parent[1:]])
+    gain = np.zeros((tree.n_nodes, psi.shape[0]))
+    gain[1:] = np.einsum("nd,bnd->nb", tree.dprice[1:], psi[:, tree.parent[1:]])
     late = tree.times >= (tree.horizon if up_to is None else up_to)
     out = []
-    for inc in (gain, d_orth):
-        step = tree.reduce_children(np.add, q * inc * inc)
+    for inc in (gain, d_orth.T):
+        step = tree.reduce_children(np.add, q[:, None] * inc * inc)
         step[late] = 0.0
-        out.append(float(tree.backward(q, step).max()))
+        out.append(tree.backward(q, step).max(axis=0))
     return tuple(out)
 
 
@@ -233,13 +264,12 @@ def comparison_check(tree: EventTree, claim_hi: ClaimSpec, claim_lo: ClaimSpec,
         raise TreeStructureError("claims are not ordered")
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    r_hi = indifference_surface(tree, claim_hi, alpha, measure, tol=tol)
-    r_lo = indifference_surface(tree, claim_lo, alpha, measure, tol=tol)
-    exact_margin = float(np.min(r_hi.surface.values - r_lo.surface.values))
-    s_hi = bsde_scheme(tree, claim_hi, alpha, measure, tol=tol)
-    s_lo = bsde_scheme(tree, claim_lo, alpha, measure, tol=tol)
-    scheme_margin = float(np.min(s_hi.values - s_lo.values))
-    return ComparisonReport(exact_margin, scheme_margin, float(alpha))
+    pair = (claim_hi, claim_lo)
+    exact = _surfaces(tree, measure, [(c.values, alpha) for c in pair], tol)
+    scheme = _decompose(tree, measure, [c.full_surface(tree) for c in pair],
+                        [alpha, alpha], scheme=True).values
+    return ComparisonReport(float(np.min(exact[0] - exact[1])),
+                            float(np.min(scheme[0] - scheme[1])), float(alpha))
 
 
 def orthogonal_exponential(tree: EventTree, sol: BsdeSolution) -> np.ndarray:

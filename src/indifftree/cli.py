@@ -88,14 +88,16 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**data)
-        if cfg.alpha is not None and not 0 < cfg.alpha < np.inf:
-            raise ConfigError("alpha must be positive and finite")
+        if cfg.alpha is not None and not _positive_finite(cfg.alpha):
+            raise ConfigError("alpha must be a positive and finite number")
         if cfg.alpha_grid is not None:
-            g = [float(a) for a in cfg.alpha_grid]
-            if not all(0 < a < np.inf for a in g) or any(b <= a for a, b in zip(g, g[1:])):
-                raise ConfigError("alpha_grid must be positive, finite and increasing")
-        if cfg.instances < 1:
-            raise ConfigError("instances must be at least 1")
+            g = cfg.alpha_grid
+            if (not isinstance(g, list) or not all(map(_positive_finite, g))
+                    or any(b <= a for a, b in zip(g, g[1:]))):
+                raise ConfigError("alpha_grid must be a list of positive, finite "
+                                  "and increasing numbers")
+        if not isinstance(cfg.instances, int) or cfg.instances < 1:
+            raise ConfigError("instances must be an integer of at least 1")
         return cfg
 
     def tol(self) -> Tolerances:
@@ -103,6 +105,18 @@ class RunConfig:
             return DEFAULT.with_overrides(**self.tolerances)
         except TypeError as exc:
             raise ConfigError(f"bad tolerance override: {exc}") from None
+
+
+def _positive_finite(x) -> bool:
+    return isinstance(x, (int, float)) and 0 < x < np.inf
+
+
+def _numbers(text: str, kind, flag: str) -> list:
+    """Comma-separated command-line numbers of type ``kind``."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _py(obj):
@@ -427,7 +441,7 @@ def _config_from(args) -> RunConfig:
         if val is not None:
             tree[key] = val
     if args.branching is not None:
-        parts = [int(x) for x in args.branching.split(",")]
+        parts = _numbers(args.branching, int, "--branching")
         tree["branching"] = parts[0] if len(parts) == 1 else parts
     if args.seed is not None:
         data["seed"] = args.seed
@@ -441,7 +455,7 @@ def _config_from(args) -> RunConfig:
     if args.alpha is not None:
         data["alpha"] = args.alpha
     if args.alpha_grid is not None:
-        data["alpha_grid"] = [float(x) for x in args.alpha_grid.split(",")]
+        data["alpha_grid"] = _numbers(args.alpha_grid, float, "--alpha-grid")
     if args.claim is not None:
         data["claim"] = args.claim
     if args.instances is not None:

@@ -1,22 +1,26 @@
 """The batched sweep engine.
 
 A batch of claims and risk aversions swept at once must equal the same
-rows swept one at a time, and every caller that prices its surfaces in
-one batch must match the per-sweep loop it replaced; the loops below
-are the oracles.  Also guards the names the benchmark's probes call.
+rows swept one at a time, and every caller that prices or decomposes
+its surfaces in one batch must match the per-row loop it replaced; the
+loops below are the oracles.  Also guards the names the benchmark's probes call.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from indifftree import (ClaimSpec, arbitrage_bounds_check, asymptotics,
+from indifftree import (BsdeSolution, ClaimSpec, arbitrage_bounds_check,
+                        asymptotics, bmo_norms, bracket_weights, bsde,
                         claim_from_expression, continuity_in_B, dual_surface,
-                        indifference_surface, lipschitz_in_alpha,
-                        minimal_entropy_measure, property_checks, random_claim,
-                        random_tree, small_alpha_sweep, valuation)
+                        exact_decomposition, indifference_surface,
+                        large_alpha_sweep, lipschitz_in_alpha,
+                        minimal_entropy_measure, node_probabilities,
+                        property_checks, random_claim, random_tree,
+                        small_alpha_sweep, superrep_surface, valuation)
 from indifftree.errors import NewtonConvergenceError
 from indifftree.lattice import EventTree, random_stopping_rule
 from indifftree.measures import _entropic_sweep
@@ -184,13 +188,67 @@ def test_property_checks_match_loop(i):
             assert abs(batched[name] - loop[name]) <= 1e-12, name
 
 
+def _loop_decompose(tree, measure, values, alphas, scheme):
+    """One group-loop oracle decomposition per row, stacked on the batch axis."""
+    from test_bsde import ARRAY_FIELDS, oracle_decompose
+
+    rows = [oracle_decompose(tree, measure, v, a, scheme)
+            for v, a in zip(values, alphas)]
+    return BsdeSolution(*(np.stack([getattr(r, f) for r in rows]) for f in ARRAY_FIELDS),
+                        np.asarray(alphas, dtype=np.float64), rows[0].route)
+
+
+def _loop_bmo_sq(tree, measure, psi, d_orth, up_to=None):
+    """One squared-BMO evaluation per row."""
+    rows = [bsde._bmo_sq(tree, measure, p[None], dl[None], up_to)
+            for p, dl in zip(psi, d_orth)]
+    return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+
 def test_small_alpha_sweep_matches_loop(tree11, call11, entropy11, monkeypatch):
     grid = [2.0 ** (-k) for k in range(8, -1, -1)]
     batched = small_alpha_sweep(tree11, call11, grid, entropy11.measure)
     monkeypatch.setattr(asymptotics, "_surfaces", _loop_surfaces)
+    monkeypatch.setattr(asymptotics, "_decompose", _loop_decompose)
+    monkeypatch.setattr(asymptotics, "_bmo_sq", _loop_bmo_sq)
     loop = small_alpha_sweep(tree11, call11, grid, entropy11.measure)
     assert batched.columns.keys() == loop.columns.keys()
     for name, col in loop.columns.items():
+        assert np.abs(np.subtract(batched.columns[name], col)).max() <= 1e-12, name
+
+
+def test_large_alpha_sweep_matches_loop(tree11, call11, entropy11):
+    """Each column against a per-alpha recomputation through the public
+    single-row functions, warm-started as the sweep is."""
+    measure = entropy11.measure
+    grid = [2.0 ** k for k in range(0, 11)]
+    batched = large_alpha_sweep(tree11, call11, grid, measure, seed=0)
+    probs = node_probabilities(tree11, measure)
+    term = tree11.terminal_nodes
+    star = superrep_surface(tree11, call11, decompose=True)
+    star_sol = exact_decomposition(tree11, star.values, measure, alpha=np.inf)
+    kstar = tree11.forward(np.add, star.dk)
+    w = bracket_weights(tree11, measure)
+    nonterm = tree11.times < tree11.horizon
+    loop = {k: [] for k in ("dist_sup", "comp_dist", "dist_psi_sq", "bmo_psi",
+                            "bmo_L", "bmo_L_dist")}
+    theta0 = None
+    for a in grid:
+        res = indifference_surface(tree11, call11, a, measure, theta0=theta0)
+        theta0 = res.strategy
+        sol = exact_decomposition(tree11, res, measure)
+        loop["dist_sup"].append(np.abs(star.values - res.surface.values).max())
+        diff_T = sol.compensator[term] - kstar[term]
+        loop["comp_dist"].append(probs[term] @ np.abs(diff_T))
+        dpsi = res.strategy - star.psi
+        quad = np.einsum("nd,nde,ne->n", dpsi, w, dpsi)
+        loop["dist_psi_sq"].append(probs[nonterm] @ quad[nonterm])
+        bm = bmo_norms(tree11, sol, measure)
+        loop["bmo_psi"].append(bm.bmo_psi)
+        loop["bmo_L"].append(bm.bmo_orth)
+        diff = replace(sol, d_orth=sol.d_orth - star_sol.d_orth)
+        loop["bmo_L_dist"].append(bmo_norms(tree11, diff, measure).bmo_orth)
+    for name, col in loop.items():
         assert np.abs(np.subtract(batched.columns[name], col)).max() <= 1e-12, name
 
 

@@ -1,5 +1,10 @@
 """Backward decompositions: regression oracle, exact identities, the
-explicit quadratic scheme, and the dense basis-risk lattice."""
+explicit quadratic scheme, and the dense basis-risk lattice.
+
+``oracle_decompose`` is the group-loop decomposition, one ``gkw_batch``
+call per (slice, branching) group walking the slices backward; both
+routes of the batched ``bsde._decompose`` are checked against it.
+"""
 
 import numpy as np
 import pytest
@@ -9,10 +14,103 @@ from indifftree import (ClaimSpec, bmo_norms, bsde_scheme, comparison_check,
                         indifference_surface, minimal_entropy_measure,
                         orthogonal_exponential, random_claim, random_strategy,
                         random_tree)
-from indifftree.bsde import (gkw_step, lattice_exact_value, lattice_kernel,
+from indifftree._onestep import gkw_batch
+from indifftree.bsde import (BsdeSolution, _decompose, gkw_step,
+                             lattice_exact_value, lattice_kernel,
                              lattice_scheme_value, lattice_self_convergence)
 from indifftree.lattice import basis_risk_lattice
+from indifftree.valuation import _surfaces
 from conftest import corpus_instance
+from test_batch import SHAPES
+
+
+def oracle_decompose(tree, measure, values, alpha, scheme):
+    """Single-row decomposition by a backward walk over the (slice, k)
+    groups; with ``scheme`` the node values are overwritten by the
+    quadratic recursion, else ``values`` is an exact surface."""
+    n = tree.n_nodes
+    vals = np.array(values, dtype=np.float64)
+    psi = np.zeros((n, tree.n_assets))
+    d_orth = np.zeros(n)
+    step_bracket = np.zeros(n)
+    comp_step = np.zeros(n)
+    q = measure.edge_prob
+    groups = tree.groups()
+    for t in range(tree.horizon - 1, -1, -1):
+        for nodes, ch in groups[t].values():
+            mean, p, dl = gkw_batch(q[ch], tree.dprice[ch], vals[ch])
+            sb = np.einsum("mk,mk->m", q[ch], dl * dl)
+            psi[nodes] = p
+            d_orth[ch] = dl
+            step_bracket[nodes] = sb
+            if scheme:
+                comp_step[nodes] = 0.5 * alpha * sb
+                vals[nodes] = mean + 0.5 * alpha * sb
+            else:
+                comp_step[nodes] = vals[nodes] - mean
+    par = tree.parent[1:]
+    return BsdeSolution(
+        vals, psi, d_orth, step_bracket, comp_step,
+        tree.forward(np.add, np.r_[0.0, step_bracket[par]]),
+        tree.forward(np.add, d_orth * d_orth),
+        tree.forward(np.add, np.r_[0.0, comp_step[par]]),
+        float(alpha), "scheme" if scheme else "exact")
+
+
+ORACLE_ALPHAS = (1e-6, 0.25, 8.0)
+ARRAY_FIELDS = ("values", "psi", "d_orth", "step_bracket", "compensator_step",
+                "bracket_orth", "bracket_orth_optional", "compensator")
+
+
+def _field_tol(name, one_asset, psi_scale):
+    """Agreement with the oracle.  Through pinv (d > 1) the summation
+    order moves psi and the residuals built from it: on the near-collinear
+    random_tree(4, 3, 2, seed=5), where |psi| reaches 1.9e3, psi moves by
+    7e-10 of |psi|_inf and d_orth by 1.3e-10."""
+    if one_asset or name in ("values", "compensator_step", "step_bracket",
+                             "bracket_orth", "compensator"):
+        return 1e-12
+    if name == "psi":
+        return 1e-8 * max(1.0, psi_scale)
+    return 1e-9
+
+
+@pytest.mark.parametrize("shape, seed", [(s, 7) for s in SHAPES] + [((4, 3, 2), 5)])
+def test_decomposition_matches_group_loop_oracle(shape, seed):
+    tree = random_tree(*shape, seed=seed)
+    measure = minimal_entropy_measure(tree).measure
+    claim = random_claim(tree, seed=17)
+    surfaces = _surfaces(tree, measure, [(claim.values, a) for a in ORACLE_ALPHAS])
+    for alpha, surface in zip(ORACLE_ALPHAS, surfaces):
+        routes = [(exact_decomposition(tree, surface, measure, alpha=alpha),
+                   oracle_decompose(tree, measure, surface, alpha, scheme=False)),
+                  (bsde_scheme(tree, claim, alpha, measure),
+                   oracle_decompose(tree, measure, claim.full_surface(tree),
+                                    alpha, scheme=True))]
+        for got, ref in routes:
+            assert (got.alpha, got.route) == (ref.alpha, ref.route)
+            scale = float(np.abs(ref.psi).max())
+            for name in ARRAY_FIELDS:
+                diff = np.abs(getattr(got, name) - getattr(ref, name)).max()
+                assert diff <= _field_tol(name, tree.n_assets == 1, scale), \
+                    (ref.route, alpha, name, diff)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("scheme", [False, True])
+def test_batched_decomposition_rows_equal_single_rows(shape, scheme):
+    tree = random_tree(*shape, seed=7)
+    measure = minimal_entropy_measure(tree).measure
+    claims = [random_claim(tree, seed=17 + j).values for j in range(3)]
+    rows = [(c, a) for c, a in zip(claims, ORACLE_ALPHAS)]
+    values = (np.stack([ClaimSpec(c).full_surface(tree) for c in claims])
+              if scheme else _surfaces(tree, measure, rows))
+    batch = _decompose(tree, measure, values, ORACLE_ALPHAS, scheme)
+    for b, alpha in enumerate(ORACLE_ALPHAS):
+        single = _decompose(tree, measure, values[b:b + 1], [alpha], scheme)
+        for name in ARRAY_FIELDS:
+            diff = np.abs(getattr(batch, name)[b] - getattr(single, name)[0]).max()
+            assert diff <= 1e-13, (b, name, diff)
 
 
 def test_gkw_step_matches_normal_equations():

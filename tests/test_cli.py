@@ -233,6 +233,25 @@ def test_bad_tree_shape_is_exit_1_naming_the_field(tmp_path, capsys, command,
     assert err.count("\n") == 1 and "bad tree spec" in err and field in err
 
 
+@pytest.mark.parametrize("argv, config, field", [
+    (["sweep-small", "--alpha-grid", "abc"], None, "--alpha-grid"),
+    (["price", "--branching", "x"], None, "--branching"),
+    (["price"], {"alpha": "abc"}, "alpha"),
+    (["verify"], {"instances": "abc"}, "instances"),
+    (["sweep-small"], {"alpha_grid": "abc"}, "alpha_grid"),
+], ids=["alpha-grid-flag", "branching-flag", "alpha-config", "instances-config",
+        "alpha-grid-config"])
+def test_malformed_value_is_exit_1_without_traceback(tmp_path, capsys, argv,
+                                                    config, field):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--seed", "11", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and field in err
+
+
 def test_verify_rejects_zero_instances(tmp_path, capsys):
     assert main(["verify", *BASE, "--instances", "0", "--out", str(tmp_path)]) == 1
     assert "instances" in capsys.readouterr().err
