@@ -46,7 +46,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +65,35 @@ from .valuation import (arbitrage_bounds_check, dual_surface,
                         indifference_surface, optimality_certificate,
                         property_checks)
 
-_CONFIG_KEYS = {"command", "tree", "claim", "claim_values", "alpha",
-                "alpha_grid", "out_dir", "seed", "instances", "tolerances"}
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive_finite(x) -> bool:
+    return _number(x) and 0 < x < np.inf
+
+
+_TOLERANCE_NAMES = {f.name for f in fields(Tolerances)}
+# each config field's test and what the error says it must be
+_FIELDS = {
+    "command": (lambda x: isinstance(x, str), "a string"),
+    "tree": (lambda x: isinstance(x, dict), "a JSON object"),
+    "claim": (lambda x: isinstance(x, str), "a payoff expression string"),
+    "claim_values": (lambda x: isinstance(x, list) and all(map(_number, x)),
+                     "a list of numbers"),
+    "alpha": (_positive_finite, "a positive and finite number"),
+    "alpha_grid": (lambda g: isinstance(g, list) and all(map(_positive_finite, g))
+                   and all(a < b for a, b in zip(g, g[1:])),
+                   "a list of positive, finite and increasing numbers"),
+    "out_dir": (lambda x: isinstance(x, str), "a path string"),
+    "seed": (lambda x: _number(x) and isinstance(x, int) and x >= 0, "a nonnegative integer"),
+    "instances": (lambda x: _number(x) and isinstance(x, int) and x >= 1,
+                  "an integer of at least 1"),
+    "tolerances": (lambda x: isinstance(x, dict) and set(x) <= _TOLERANCE_NAMES
+                   and all(map(_positive_finite, x.values())),
+                   "an object of positive and finite numbers keyed by tolerance name"),
+}
 
 
 @dataclass
@@ -84,31 +111,14 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**data)
-        if cfg.alpha is not None and not _positive_finite(cfg.alpha):
-            raise ConfigError("alpha must be a positive and finite number")
-        if cfg.alpha_grid is not None:
-            g = cfg.alpha_grid
-            if (not isinstance(g, list) or not all(map(_positive_finite, g))
-                    or any(b <= a for a, b in zip(g, g[1:]))):
-                raise ConfigError("alpha_grid must be a list of positive, finite "
-                                  "and increasing numbers")
-        if not isinstance(cfg.instances, int) or cfg.instances < 1:
-            raise ConfigError("instances must be an integer of at least 1")
-        return cfg
-
-    def tol(self) -> Tolerances:
-        try:
-            return DEFAULT.with_overrides(**self.tolerances)
-        except TypeError as exc:
-            raise ConfigError(f"bad tolerance override: {exc}") from None
-
-
-def _positive_finite(x) -> bool:
-    return isinstance(x, (int, float)) and 0 < x < np.inf
+        for key, value in data.items():
+            test, what = _FIELDS[key]
+            if not test(value):
+                raise ConfigError(f"{key} must be {what}")
+        return cls(**data)
 
 
 def _numbers(text: str, kind, flag: str) -> list:
@@ -153,7 +163,7 @@ def _build_model(cfg: RunConfig, tol: Tolerances):
         "seed": cfg.seed}
     try:
         tree = build_tree(spec, tol=tol)
-    except (KeyError, TreeStructureError, ValueError) as exc:
+    except (KeyError, TreeStructureError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad tree spec: {exc}") from None
     if cfg.claim_values is not None:
         vals = np.asarray(cfg.claim_values, dtype=np.float64)
@@ -434,6 +444,7 @@ def _config_from(args) -> RunConfig:
                 raise ConfigError(f"bad config JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
+        RunConfig.from_mapping(data)  # reject malformed file values before the merge
     data["command"] = args.command
     tree = dict(data.get("tree") or {})
     for key, val in (("depth", args.depth), ("assets", args.assets),
@@ -469,7 +480,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         cfg = _config_from(args)
-        tol = cfg.tol()
+        tol = DEFAULT.with_overrides(**cfg.tolerances)
         code, rows, header, summary = _COMMANDS[cfg.command](cfg, tol)
         _write_artifacts(cfg, rows, header, summary)
         if code != 0:

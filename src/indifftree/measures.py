@@ -164,8 +164,7 @@ def entropic_projection(p, ds, cost=None, *, tol: Tolerances = DEFAULT) -> OneSt
 
 
 def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
-                    alphas=None, *, logp=None, lam0=None, route="entropic",
-                    stop_members=None, stop_values=None):
+                    alphas=None, *, logp=None, lam0=None, route="entropic"):
     """Backward entropic recursion for a batch of terminal-cost rows, the
     package's one Newton backward sweep.
 
@@ -176,10 +175,8 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     hedge is this recursion under Q^E with cost ``-alpha B`` (J = -alpha C,
     lam = -alpha theta); ``route="primal"`` selects its stall floor and
     error label.  ``alphas`` (B,), when given, only labels rows in errors.
-    A stopping rule's members are terminal with the given (B, len(members))
-    costs, and nodes strictly after the rule read NaN.  Returns ``(J (B, n),
-    lam (B, n, d), q_edge (B, n), diag)``, diag holding ``iterations`` and
-    ``max_residual`` (B,) and ``valid``, a stopped sweep's node mask.
+    Returns ``(J (B, n), lam (B, n, d), q_edge (B, n), diag)``, diag
+    holding ``iterations`` and ``max_residual`` (B,).
     """
     costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
     nb = costs.shape[0]
@@ -192,10 +189,6 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     lam = np.zeros((nb, n, d))
     q_edge = np.zeros((nb, n))
     q_edge[:, 0] = 1.0
-    stop_mask = np.zeros(n, dtype=bool)
-    if stop_members is not None:
-        stop_mask[stop_members] = True
-        value[:, stop_members] = stop_values
     iterations = np.zeros(nb, dtype=np.int64)
     max_resid = np.zeros(nb)
     logp = np.log(tree.edge_prob) if logp is None else logp
@@ -209,19 +202,12 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
                              floor=floor, newton_tol=tol.newton)
             if sol.failed.any():
                 raise sweep_error(route, sol, rows, nodes, t, alphas)
-            # the rule's members keep their given costs
-            value[:, nodes] = np.where(stop_mask[nodes], value[:, nodes],
-                                       -sol.lse.reshape(nb, m))
+            value[:, nodes] = -sol.lse.reshape(nb, m)
             lam[:, nodes] = sol.lam.reshape(nb, m, d)
             q_edge[:, ch] = sol.w.reshape(nb, m, k)
             iterations += sol.iterations.reshape(nb, m).sum(axis=1)
             np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
-    valid = None
-    if stop_members is not None:
-        after = tree.forward(np.logical_or, np.r_[False, stop_mask[tree.parent[1:]]])
-        value[:, after] = lam[:, after] = np.nan
-        valid = ~after
-    diag = {"iterations": iterations, "max_residual": max_resid, "valid": valid}
+    diag = {"iterations": iterations, "max_residual": max_resid}
     return value, lam, q_edge, diag
 
 

@@ -17,8 +17,9 @@ Exact one-step convex duality makes the two surfaces agree to solver
 tolerance; the acceptance suite gates on that agreement.  The module
 also houses the structural property checks of the value map (bounds,
 monotonicity, convexity, translation, volume/risk-aversion scaling),
-arbitrage-bound and attainability checks, stopping-rule consistency of
-the dynamic values, and the one-step martingale optimality certificate.
+arbitrage-bound and attainability checks, time consistency of the dynamic
+values (C_sigma(C_tau(B)) = C_sigma(B) for stopping times sigma <= tau),
+and the one-step martingale optimality certificate.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._onestep import exp_min_batch
-from .errors import NonMartingaleKernel, TreeStructureError
-from .lattice import ClaimSpec, EventTree, gains, random_strategy, validate_stopping_rule
+from .errors import NonMartingaleKernel, StoppingRuleError, TreeStructureError
+from .lattice import ClaimSpec, EventTree, gains, random_strategy, stopping_precedes
 from .measures import (EntropyResult, MeasureProcess, _entropic_sweep, _entropy_result,
                        minimal_entropy_measure)
 from .tolerances import DEFAULT, Tolerances
@@ -56,7 +57,6 @@ class ValuationSurface:
     values: np.ndarray
     alpha: float
     route: str  # "primal" | "dual"
-    valid: np.ndarray | None = None  # node mask when swept to a stopping rule
 
 
 @dataclass
@@ -74,6 +74,11 @@ class DualResult:
     claim_leg: EntropyResult
 
 
+def _check_risk_aversion(alphas):
+    if not np.all(np.isfinite(alphas) & np.greater(alphas, 0)):
+        raise ValueError("risk aversion must be positive and finite")
+
+
 def one_step_primal(q, ds, cont, alpha, *, tol: Tolerances = DEFAULT):
     """Single-node exponential hedging step.
 
@@ -89,6 +94,7 @@ def one_step_primal(q, ds, cont, alpha, *, tol: Tolerances = DEFAULT):
     cont = np.asarray(cont, dtype=np.float64)
     if np.any(q <= 0.0):
         raise TreeStructureError("kernel must be strictly positive")
+    _check_risk_aversion(alpha)
     drift = q @ ds
     if np.abs(drift).max() > 1e-8 * max(1.0, np.abs(ds).max()):
         raise NonMartingaleKernel(
@@ -100,41 +106,32 @@ def one_step_primal(q, ds, cont, alpha, *, tol: Tolerances = DEFAULT):
 
 
 def _primal_sweep(tree: EventTree, measure: MeasureProcess, claims: np.ndarray,
-                  alphas, *, theta0=None, stop_members=None, stop_values=None,
-                  tol: Tolerances = DEFAULT):
+                  alphas, *, theta0=None, tol: Tolerances = DEFAULT):
     """Exponential-hedging sweep of a batch of claims under the martingale
     measure ``measure``: the entropic recursion with ``measure`` as
     reference kernels and cost ``-alpha B``, read back as C = -J / alpha
     and theta = -lam / alpha.
 
     ``claims`` is (B, n_term) terminal values, ``alphas`` (B,) the positive
-    per-row risk aversions and ``theta0`` an optional (B, n, d) warm start.
-    A stopping rule's members are terminal with the given (B, len(members))
-    values; nodes strictly after it read NaN and are False in the returned
-    mask.  Returns ``(values (B, n), theta (B, n, d), iterations (B,),
-    max_residual (B,), valid)``.
+    and finite per-row risk aversions and ``theta0`` an optional (B, n, d)
+    warm start.  The claims are written back exactly at the horizon.
+    Returns ``(values (B, n), theta (B, n, d), iterations (B,),
+    max_residual (B,))``.
     """
     claims = np.atleast_2d(np.asarray(claims, dtype=np.float64))
     nb = claims.shape[0]
     alphas = np.broadcast_to(np.asarray(alphas, dtype=np.float64), (nb,))
-    if not np.all(alphas > 0):
-        raise ValueError("risk aversion must be positive")
+    _check_risk_aversion(alphas)
     if not measure.martingale:
         raise NonMartingaleKernel("the valuation measure must be a martingale measure")
     scale = -alphas[:, None]
     j, lam, _, diag = _entropic_sweep(
         tree, scale * claims, tol, alphas, logp=np.log(measure.edge_prob),
-        lam0=None if theta0 is None else scale[:, :, None] * theta0, route="primal",
-        stop_members=stop_members,
-        stop_values=None if stop_values is None else scale * stop_values)
+        lam0=None if theta0 is None else scale[:, :, None] * theta0, route="primal")
     values = j / scale
-    # the given values stay exact: -(-alpha B) / alpha can miss B by an ulp
-    if stop_members is None:
-        values[:, tree.terminal_nodes] = claims
-    else:
-        values[:, stop_members] = stop_values
-    return values, lam / scale[:, :, None], diag["iterations"], diag["max_residual"], \
-        diag["valid"]
+    # the claims stay exact: -(-alpha B) / alpha can miss B by an ulp
+    values[:, tree.terminal_nodes] = claims
+    return values, lam / scale[:, :, None], diag["iterations"], diag["max_residual"]
 
 
 def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
@@ -156,11 +153,10 @@ def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
     diagnostics.
     """
     alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError("risk aversion must be positive")
+    _check_risk_aversion(alpha)
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    values, theta, iters, resid, _ = _primal_sweep(
+    values, theta, iters, resid = _primal_sweep(
         tree, measure, claim.values, alpha,
         theta0=None if theta0 is None else np.asarray(theta0)[None], tol=tol)
     return ValuationResult(ValuationSurface(values[0], alpha, "primal"),
@@ -177,8 +173,7 @@ def dual_surface(tree: EventTree, claim: ClaimSpec, alpha: float, *,
     Both legs run as one batched sweep.
     """
     alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError("risk aversion must be positive")
+    _check_risk_aversion(alpha)
     costs = np.stack([np.zeros_like(claim.values), -alpha * claim.values])
     sweep = _entropic_sweep(tree, costs, tol, alphas=(alpha, alpha))
     zero_leg, claim_leg = (_entropy_result(tree, costs[j], *sweep, j, tol)
@@ -232,7 +227,7 @@ def property_checks(tree: EventTree, claim: ClaimSpec, alpha: float,
 
     Margins returned (all should be >= -tol.equality):
 
-    - ``bounds``: |C_t(B)| <= |B|_inf at every node.
+    - ``bounds``: |C_t(B)| <= |B|_inf at every non-terminal node (C_T = B).
     - ``monotone_claim``: B <= B' node-wise implies C(B) <= C(B').
     - ``convexity``: for random (B', t, lambda_t) with lambda_t known at
       time t, C(mix) <= lambda C(B) + (1-lambda) C(B') from time t on.
@@ -273,7 +268,8 @@ def property_checks(tree: EventTree, claim: ClaimSpec, alpha: float,
     c_shift, lhs, c_beta, c_hi, c_glo, c_ghi = c[2 + 2 * n_convexity:]
 
     rep = PropertyReport(alpha=float(alpha))
-    rep.margins["bounds"] = float(np.min(claim.sup_norm - np.abs(c_base)))
+    interior = tree.times < tree.horizon
+    rep.margins["bounds"] = float(np.min((claim.sup_norm - np.abs(c_base))[interior]))
     rep.margins["monotone_claim"] = float(np.min(c_up - c_base))
     # node-wise convexity with time-measurable weights
     worst = np.inf
@@ -352,22 +348,27 @@ def time_consistency_check(tree: EventTree, claim: ClaimSpec, alpha: float,
                            earlier, later,
                            measure: MeasureProcess | None = None, *,
                            tol: Tolerances = DEFAULT) -> float:
-    """Residual of the dynamic-programming consistency of the value map.
+    """Residual of C_sigma(C_tau(B)) = C_sigma(B) for stopping times sigma
+    = ``earlier`` <= tau = ``later`` (else ``StoppingRuleError``).
 
-    Valuing at cut ``later`` first and feeding those values back as a
-    payoff stopped at ``later`` must reproduce the original surface at
-    and above cut ``earlier``; returns the max deviation over the nodes
-    at or before ``later``.
+    C_tau(B), carried unchanged to the horizon (each path meets the cut
+    once), is priced as a claim; returns its surface's max deviation from
+    B's at or before ``earlier``.  At small alpha this carries the primal
+    sweep's eps / alpha rounding (about 1e-10 at alpha = 1e-6).
     """
-    later = validate_stopping_rule(tree, later)
-    earlier = validate_stopping_rule(tree, earlier)
+    if not stopping_precedes(tree, earlier, later):  # also validates both cuts
+        raise StoppingRuleError("cut `earlier` comes after cut `later` on some path")
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
     full = _surfaces(tree, measure, [(claim.values, alpha)], tol)[0]
-    stopped, _, _, _, valid = _primal_sweep(
-        tree, measure, claim.values, alpha,
-        stop_members=later, stop_values=full[later], tol=tol)
-    return float(np.max(np.abs((stopped[0] - full)[valid])))
+    paid = np.zeros(tree.n_nodes)
+    paid[later] = full[later]
+    stopped_claim = tree.forward(np.add, paid)[tree.terminal_nodes]
+    stopped = _surfaces(tree, measure, [(stopped_claim, alpha)], tol)[0]
+    stops = np.zeros(tree.n_nodes)
+    stops[earlier] = 1.0
+    at_or_before = tree.forward(np.add, stops) - stops == 0
+    return float(np.max(np.abs(stopped - full)[at_or_before]))
 
 
 @dataclass

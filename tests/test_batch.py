@@ -44,9 +44,9 @@ def test_batched_primal_sweep_equals_row_sweeps(shape):
     tree = random_tree(*shape, seed=7)
     measure = minimal_entropy_measure(tree).measure
     claims = _claims(tree, len(ALPHAS), 100)
-    values, theta, iters, _, _ = _primal_sweep(tree, measure, claims, ALPHAS)
+    values, theta, iters, _ = _primal_sweep(tree, measure, claims, ALPHAS)
     for b, alpha in enumerate(ALPHAS):
-        v1, th1, it1, _, _ = _primal_sweep(tree, measure, claims[b], alpha)
+        v1, th1, it1, _ = _primal_sweep(tree, measure, claims[b], alpha)
         assert np.abs(values[b] - v1[0]).max() <= 1e-13
         assert np.abs(theta[b] - th1[0]).max() <= 1e-13
         assert iters[b] == it1[0]
@@ -95,26 +95,28 @@ def _stopped_walk(tree, measure, alpha, members, stop_values):
 
 
 @pytest.mark.parametrize("shape", SHAPES[::2])
-def test_stopped_primal_sweep_matches_per_node_walk(shape):
+def test_claim_paid_at_a_rule_matches_per_node_walk(shape):
+    # values paid at a stopping rule, carried unchanged to the horizon and
+    # swept as an ordinary claim, against the walk that stops at the rule
     tree = random_tree(*shape, seed=3)
     measure = minimal_entropy_measure(tree).measure
     alphas = (1e-6, 1.0, 8.0)
-    claims = _claims(tree, len(alphas), 300)
     members = random_stopping_rule(tree, seed=5)
     stop_values = np.random.default_rng(9).uniform(-1.0, 1.0, (len(alphas), members.size))
-    values, theta, _, _, valid = _primal_sweep(tree, measure, claims, alphas,
-                                               stop_members=members,
-                                               stop_values=stop_values)
+    paid = np.zeros((tree.n_nodes, len(alphas)))
+    paid[members] = stop_values.T
+    claims = tree.forward(np.add, paid)[tree.terminal_nodes].T
+    values, theta, _, _ = _primal_sweep(tree, measure, claims, alphas)
     for b, alpha in enumerate(alphas):
         v1, th1, before = _stopped_walk(tree, measure, alpha, members, stop_values[b])
-        assert np.array_equal(np.isnan(values[b]), np.isnan(v1))
-        assert np.array_equal(valid, ~np.isnan(v1))
-        assert np.array_equal(np.isnan(theta[b]).all(axis=1), ~valid)
-        assert np.array_equal(values[b][members], stop_values[b])
-        assert np.nanmax(np.abs(values[b] - v1)) <= 1e-12
-        # a member's hedge is that of the unstopped continuation: compare
-        # the hedges strictly before the rule
-        assert np.abs(theta[b][before] - th1[before]).max() <= 1e-12
+        # below the rule the sweep prices a constant, which picks up the
+        # kernel sums' rounding divided by alpha; a hedge divides that again
+        # by price increments of order 0.1
+        tol = max(1e-12, 1e-15 / alpha)
+        assert np.abs(values[b] - v1)[~np.isnan(v1)].max() <= tol
+        # a member's hedge is that of its continuation: compare the hedges
+        # strictly before the rule
+        assert np.abs(theta[b][before] - th1[before]).max() <= 10 * tol
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,8 @@ def property_checks_loop(tree, claim, alpha, measure, *, seed=0, n_convexity=3):
     b = claim.values
     margins = {}
     c_base = _surface(tree, b, alpha, measure)
-    margins["bounds"] = float(np.min(claim.sup_norm - np.abs(c_base)))
+    interior = tree.times < tree.horizon
+    margins["bounds"] = float(np.min((claim.sup_norm - np.abs(c_base))[interior]))
     bump = rng.uniform(0.0, 0.8, size=term.size)
     margins["monotone_claim"] = float(np.min(
         _surface(tree, b + bump, alpha, measure) - c_base))

@@ -239,8 +239,18 @@ def test_bad_tree_shape_is_exit_1_naming_the_field(tmp_path, capsys, command,
     (["price"], {"alpha": "abc"}, "alpha"),
     (["verify"], {"instances": "abc"}, "instances"),
     (["sweep-small"], {"alpha_grid": "abc"}, "alpha_grid"),
+    (["price"], {"seed": 1.5}, "seed"),
+    (["price"], {"tree": "abc"}, "tree"),
+    (["price"], {"claim_values": "abc"}, "claim_values"),
+    (["price"], {"tolerances": {"equality": "x"}}, "tolerances"),
+    (["price"], {"alpha": True}, "alpha"),
+    (["verify"], {"instances": True}, "instances"),
+    (["price"], {"seed": True}, "seed"),
+    (["sweep-small"], {"alpha_grid": [True, 2.0]}, "alpha_grid"),
 ], ids=["alpha-grid-flag", "branching-flag", "alpha-config", "instances-config",
-        "alpha-grid-config"])
+        "alpha-grid-config", "seed-float", "tree-string", "claim-values-string",
+        "tolerance-string", "alpha-bool", "instances-bool", "seed-bool",
+        "alpha-grid-bool"])
 def test_malformed_value_is_exit_1_without_traceback(tmp_path, capsys, argv,
                                                     config, field):
     if config is not None:

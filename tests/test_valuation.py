@@ -3,6 +3,8 @@ the structural property battery."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from indifftree import (ClaimSpec, arbitrage_bounds_check, dual_surface,
@@ -10,7 +12,9 @@ from indifftree import (ClaimSpec, arbitrage_bounds_check, dual_surface,
                         minimal_entropy_measure, optimality_certificate,
                         property_checks, random_claim, random_stopping_rule,
                         random_strategy, random_tree, time_consistency_check,
-                        tree_from_nodes)
+                        tree_from_nodes, valuation)
+from indifftree.errors import StoppingRuleError
+from indifftree.lattice import stopping_precedes
 from indifftree.valuation import one_step_primal
 from conftest import corpus_instance
 
@@ -148,6 +152,26 @@ def test_property_battery_on_corpus_sample():
         assert rep.worst() >= -1e-9, (i, rep)
 
 
+def test_bounds_margin_shows_slack():
+    # at the horizon C = B, so a min over every node would read 0
+    tree, claim = corpus_instance(0)
+    assert property_checks(tree, claim, 1.0, seed=0).margins["bounds"] > 0
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["indifference_surface", "dual_surface",
+                                   "one_step_primal"])
+def test_risk_aversion_must_be_positive_and_finite(tree11, call11, entry, alpha):
+    calls = {
+        "indifference_surface": lambda: indifference_surface(tree11, call11, alpha),
+        "dual_surface": lambda: dual_surface(tree11, call11, alpha),
+        "one_step_primal": lambda: one_step_primal([0.5, 0.5], [[1.0], [-1.0]],
+                                                   [0.0, 1.0], alpha),
+    }
+    with pytest.raises(ValueError, match="positive and finite"):
+        calls[entry]()
+
+
 def test_arbitrage_sandwich_and_annihilation(tree11, call11):
     rep = arbitrage_bounds_check(tree11, call11, 1.0, seed=1)
     assert rep.lower_margin >= -1e-9
@@ -187,6 +211,55 @@ def test_time_consistency(tree11, call11):
         earlier = random_stopping_rule(tree11, seed=seed)
         resid = time_consistency_check(tree11, call11, 1.5, earlier, later)
         assert resid < 1e-9
+
+
+def _first_of(tree, *cuts):
+    """The pathwise first of several cuts: a cut that precedes each of them."""
+    mark = np.zeros(tree.n_nodes)
+    mark[np.concatenate(cuts)] = 1.0
+    return np.flatnonzero((mark > 0) & (tree.forward(np.add, mark) == mark))
+
+
+@st.composite
+def consistency_cases(draw):
+    lo = draw(st.integers(2, 8))
+    tree = random_tree(draw(st.integers(2, 4)), (lo, draw(st.integers(lo, 8))),
+                       draw(st.integers(1, 3)), seed=draw(st.integers(0, 2 ** 16)))
+    claim = random_claim(tree, seed=draw(st.integers(0, 2 ** 16)))
+    alpha = 10.0 ** draw(st.floats(-2.0, np.log10(64.0)))
+    later = random_stopping_rule(tree, seed=draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        earlier = np.array([0])
+    else:
+        other = random_stopping_rule(tree, seed=draw(st.integers(0, 2 ** 16)))
+        earlier = _first_of(tree, later, other)
+    return tree, claim, alpha, earlier, later
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(consistency_cases())
+def test_time_consistency_on_random_cuts(case):
+    tree, claim, alpha, earlier, later = case
+    assert stopping_precedes(tree, earlier, later)
+    assert time_consistency_check(tree, claim, alpha, earlier, later) <= 1e-9
+
+
+def test_time_consistency_check_catches_a_mispriced_stopped_claim(tree11, call11,
+                                                                   monkeypatch):
+    surfaces = valuation._surfaces
+
+    def stopped_claim_at_double_alpha(tree, measure, rows, tol):
+        rows = [(v, a if np.array_equal(v, call11.values) else 2 * a) for v, a in rows]
+        return surfaces(tree, measure, rows, tol)
+
+    monkeypatch.setattr(valuation, "_surfaces", stopped_claim_at_double_alpha)
+    later = random_stopping_rule(tree11, seed=1)
+    assert time_consistency_check(tree11, call11, 1.5, [0], later) > 1e-6
+
+
+def test_reversed_cuts_raise(tree11, call11):
+    with pytest.raises(StoppingRuleError):
+        time_consistency_check(tree11, call11, 1.0, horizon_rule(tree11), [0])
 
 
 def test_optimality_certificate(tree11, call11):
