@@ -609,15 +609,18 @@ def random_stopping_rule(tree: EventTree, seed=0, stop_prob=0.3) -> np.ndarray:
     return np.asarray(members, dtype=np.int64)
 
 
+def _strictly_after(tree: EventTree, members) -> np.ndarray:
+    """Mask of the nodes with a strict ancestor in the cut ``members``."""
+    in_cut = np.zeros(tree.n_nodes, dtype=bool)
+    in_cut[members] = True
+    return tree.forward(np.logical_or, np.r_[False, in_cut[tree.parent[1:]]])
+
+
 def stopping_precedes(tree: EventTree, earlier, later) -> bool:
     """True iff cut ``earlier`` happens no later than ``later`` on every path."""
     earlier = validate_stopping_rule(tree, earlier)
     later = validate_stopping_rule(tree, later)
-    in_later = np.zeros(tree.n_nodes, dtype=bool)
-    in_later[later] = True
-    # a strict ancestor is in `later`
-    strictly_above = tree.forward(np.logical_or, np.r_[False, in_later[tree.parent[1:]]])
-    return not bool(np.any(strictly_above[earlier]))
+    return not bool(np.any(_strictly_after(tree, later)[earlier]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ import numpy as np
 
 from ._onestep import exp_min_batch
 from .errors import NonMartingaleKernel, StoppingRuleError, TreeStructureError
-from .lattice import ClaimSpec, EventTree, gains, random_strategy, stopping_precedes
+from .lattice import (ClaimSpec, EventTree, _strictly_after, gains, random_strategy,
+                      stopping_precedes)
 from .measures import (EntropyResult, MeasureProcess, _entropic_sweep, _entropy_result,
                        minimal_entropy_measure)
 from .tolerances import DEFAULT, Tolerances
@@ -153,7 +154,7 @@ def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
     diagnostics.
     """
     alpha = float(alpha)
-    _check_risk_aversion(alpha)
+    _check_risk_aversion(alpha)  # before the measure is built, not after
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
     values, theta, iters, resid = _primal_sweep(
@@ -365,9 +366,7 @@ def time_consistency_check(tree: EventTree, claim: ClaimSpec, alpha: float,
     paid[later] = full[later]
     stopped_claim = tree.forward(np.add, paid)[tree.terminal_nodes]
     stopped = _surfaces(tree, measure, [(stopped_claim, alpha)], tol)[0]
-    stops = np.zeros(tree.n_nodes)
-    stops[earlier] = 1.0
-    at_or_before = tree.forward(np.add, stops) - stops == 0
+    at_or_before = ~_strictly_after(tree, earlier)
     return float(np.max(np.abs(stopped - full)[at_or_before]))
 
 

@@ -112,11 +112,10 @@ def test_claim_paid_at_a_rule_matches_per_node_walk(shape):
         # below the rule the sweep prices a constant, which picks up the
         # kernel sums' rounding divided by alpha; a hedge divides that again
         # by price increments of order 0.1
-        tol = max(1e-12, 1e-15 / alpha)
-        assert np.abs(values[b] - v1)[~np.isnan(v1)].max() <= tol
+        assert np.abs(values[b] - v1)[~np.isnan(v1)].max() <= max(1e-12, 1e-15 / alpha)
         # a member's hedge is that of its continuation: compare the hedges
         # strictly before the rule
-        assert np.abs(theta[b][before] - th1[before]).max() <= 10 * tol
+        assert np.abs(theta[b][before] - th1[before]).max() <= max(1e-12, 1e-14 / alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -206,11 +206,12 @@ def test_monotone_in_alpha(tree11, call11):
 
 
 def test_time_consistency(tree11, call11):
-    later = horizon_rule(tree11)
     for seed in range(4):
-        earlier = random_stopping_rule(tree11, seed=seed)
-        resid = time_consistency_check(tree11, call11, 1.5, earlier, later)
-        assert resid < 1e-9
+        later = random_stopping_rule(tree11, seed=seed)
+        other = random_stopping_rule(tree11, seed=seed + 10)
+        for earlier in ([0], _first_of(tree11, later, other)):
+            resid = time_consistency_check(tree11, call11, 1.5, earlier, later)
+            assert resid < 1e-9
 
 
 def _first_of(tree, *cuts):
