@@ -39,7 +39,9 @@ flags override file values)::
     }
 
 When no claim is given, a seeded bounded random claim is generated from
-``seed`` — convenient for smoke runs and the verify battery.
+``seed`` — convenient for smoke runs and the verify battery.  ``verify``
+draws its trees from a ``random`` tree spec (any other kind is a config
+error), instance j with seed ``seed + 101 j``.
 """
 
 import argparse
@@ -57,7 +59,8 @@ from .claims import claim_from_expression
 from .errors import (ConfigError, NewtonConvergenceError, NoArbitrageViolated,
                      NonMartingaleKernel, StoppingRuleError, TreeStructureError)
 from .lattice import (ClaimSpec, build_tree, gains, random_claim,
-                      random_tree, validate_no_arbitrage)
+                      validate_no_arbitrage)
+from .lattice import random_tree  # noqa: F401  (perfbench's CLI trace wraps it)
 from .measures import minimal_entropy_measure, verify_entropy_structure
 from .superrep import superrep_surface
 from .tolerances import DEFAULT, Tolerances
@@ -157,14 +160,17 @@ def _write_artifacts(cfg: RunConfig, rows, header, summary):
         fh.write("\n")
 
 
-def _build_model(cfg: RunConfig, tol: Tolerances):
-    spec = dict(cfg.tree) if cfg.tree else {
-        "kind": "random", "depth": 4, "branching": 3, "assets": 1,
-        "seed": cfg.seed}
+def _build_tree(spec: dict, tol: Tolerances):
     try:
-        tree = build_tree(spec, tol=tol)
+        return build_tree(spec, tol=tol)
     except (KeyError, TreeStructureError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad tree spec: {exc}") from None
+
+
+def _build_model(cfg: RunConfig, tol: Tolerances):
+    tree = _build_tree(dict(cfg.tree) if cfg.tree else {
+        "kind": "random", "depth": 4, "branching": 3, "assets": 1,
+        "seed": cfg.seed}, tol)
     if cfg.claim_values is not None:
         vals = np.asarray(cfg.claim_values, dtype=np.float64)
         if vals.shape != (tree.terminal_nodes.size,):
@@ -351,18 +357,12 @@ def _cmd_sweep_large(cfg, tol):
 def _cmd_verify(cfg, tol):
     rows = []
     worst = {"margin": np.inf, "check": None, "instance": None}
-    spec = dict(cfg.tree) if cfg.tree else {}
-    depth = int(spec.get("depth", 4))
-    branching = spec.get("branching", 3)
-    if isinstance(branching, list):
-        branching = tuple(branching)
-    assets = int(spec.get("assets", 1))
+    spec = {"kind": "random", "depth": 4, "branching": 3, "assets": 1, **(cfg.tree or {})}
+    if spec["kind"] != "random":
+        raise ConfigError(f"bad tree spec: verify draws random trees, got kind {spec['kind']!r}")
     for j in range(cfg.instances):
         seed = cfg.seed + 101 * j
-        try:
-            tree = random_tree(depth, branching, assets, seed=seed)
-        except TreeStructureError as exc:
-            raise ConfigError(f"bad tree spec: {exc}") from None
+        tree = _build_tree({**spec, "seed": seed}, tol)
         claim = random_claim(tree, seed=seed + 7)
         ent = minimal_entropy_measure(tree, tol=tol)
         res = indifference_surface(tree, claim, cfg.alpha, ent.measure, tol=tol)

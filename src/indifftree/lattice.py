@@ -297,6 +297,8 @@ def tree_from_nodes(nodes: Sequence[dict], *, tol: Tolerances = DEFAULT) -> Even
     prob = np.ones(n)
     prices = []
     for i, spec in enumerate(nodes):
+        if not isinstance(spec, dict):
+            raise TreeStructureError(f"node {i}: must be an object")
         par = spec.get("parent")
         if par is None:
             if i != 0:
@@ -320,32 +322,35 @@ def one_period_tree(s0, child_prices, probs, *, tol: Tolerances = DEFAULT) -> Ev
     s0 = np.atleast_1d(np.asarray(s0, dtype=np.float64))
     child_prices = np.atleast_2d(np.asarray(child_prices, dtype=np.float64))
     probs = np.asarray(probs, dtype=np.float64)
-    k = child_prices.shape[0]
     nodes = [{"parent": None, "prices": s0}]
-    for j in range(k):
-        nodes.append({"parent": 0, "prices": child_prices[j], "p": probs[j]})
+    nodes += [{"parent": 0, "prices": c, "p": probs[j]} for j, c in enumerate(child_prices)]
     return tree_from_nodes(nodes, tol=tol)
+
+
+def _assemble(root, depth, step, op, tol) -> EventTree:
+    """Breadth-first tree from a root price vector and ``step(m)``, the
+    ``(parent, move, prob)`` child arrays of a slice of ``m`` nodes, where
+    ``parent`` indexes that slice; a child's price is ``op(parent price, move)``."""
+    prices = [np.atleast_2d(np.asarray(root, dtype=np.float64))]
+    times, parent, prob = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)], [np.ones(1)]
+    start = 0
+    for t in range(1, depth + 1):
+        par, move, p = step(len(prices[-1]))
+        parent.append(start + par)
+        start += len(prices[-1])
+        prices.append(op(prices[-1][par], move))
+        times.append(np.full(len(par), t))
+        prob.append(p)
+    return EventTree(np.concatenate(times), np.concatenate(parent),
+                     np.concatenate(prices), np.concatenate(prob), tol=tol)
 
 
 def _multiplicative_tree(steps, s0, factors, probs, tol) -> EventTree:
     """Non-recombining expansion of a one-asset multiplicative lattice."""
-    times = [0]
-    parent = [-1]
-    prices = [float(s0)]
-    prob = [1.0]
-    prev = [0]
-    for t in range(steps):
-        nxt = []
-        for node in prev:
-            for f, p in zip(factors, probs):
-                times.append(t + 1)
-                parent.append(node)
-                prices.append(prices[node] * f)
-                prob.append(p)
-                nxt.append(len(times) - 1)
-        prev = nxt
-    arr = np.asarray(prices)[:, None]
-    return EventTree(np.asarray(times), np.asarray(parent), arr, np.asarray(prob), tol=tol)
+    k = len(factors)
+    return _assemble([float(s0)], steps, lambda m: (
+        np.repeat(np.arange(m), k), np.tile(factors, m)[:, None], np.tile(probs, m)),
+        np.multiply, tol)
 
 
 def binomial_tree(steps, s0=1.0, up=1.2, down=0.85, p_up=0.5, *,
@@ -389,33 +394,27 @@ def random_tree(depth, branching=3, assets=1, seed=0, *, vol=0.25,
     if assets < 1:
         raise TreeStructureError(f"assets must be at least 1, got {assets}")
     rng = np.random.default_rng(seed)
-    times = [0]
-    parent = [-1]
-    prices = [np.ones(assets)]
-    prob = [1.0]
-    prev = [0]
-    for t in range(depth):
-        nxt = []
-        for node in prev:
-            if np.isscalar(branching):
-                k = int(branching)
-            else:
-                k = int(rng.integers(branching[0], branching[1] + 1))
+    fixed = int(branching) if np.isscalar(branching) else None
+
+    def step(m):
+        # Only the draws go node by node, in the frozen order (branching if ranged,
+        # scale, moves, weights).  Child sums are reshape(m_k, k, ...) sums per
+        # branching group: they round as the per-node sum does, reduceat does not.
+        ks, moves, u = [], [], []
+        for _ in range(m):
+            k = fixed or int(rng.integers(pair[0], pair[1] + 1))
             scale = vol * rng.uniform(0.4, 1.0)
-            moves = rng.normal(0.0, scale, size=(k, assets))
-            moves -= moves.mean(axis=0)  # centering => no one-step arbitrage
-            w = rng.uniform(0.0, 1.0, size=k) + 0.25
-            w /= w.sum()
-            for j in range(k):
-                times.append(t + 1)
-                parent.append(node)
-                prices.append(prices[node] + moves[j])
-                prob.append(w[j])
-                nxt.append(len(times) - 1)
-        prev = nxt
-    arr = np.vstack([p.reshape(1, -1) for p in prices])
-    return EventTree(np.asarray(times), np.asarray(parent), arr,
-                     np.asarray(prob), tol=tol)
+            moves.append(rng.normal(0.0, scale, size=(k, assets)))
+            u.append(rng.uniform(0.0, 1.0, size=k))
+            ks.append(k)
+        ks, moves, w = np.asarray(ks), np.concatenate(moves), np.concatenate(u) + 0.25
+        for k in np.unique(ks):
+            idx = np.flatnonzero(np.repeat(ks == k, ks)).reshape(-1, k)
+            moves[idx] -= (moves[idx].sum(axis=1) / k)[:, None]  # centring => no arbitrage
+            w[idx] /= w[idx].sum(axis=1, keepdims=True)
+        return np.repeat(np.arange(m), ks), moves, w
+
+    return _assemble(np.ones(assets), depth, step, np.add, tol)
 
 
 def random_claim(tree: EventTree, seed=0, *, bound=2.0) -> ClaimSpec:
@@ -596,17 +595,17 @@ def random_stopping_rule(tree: EventTree, seed=0, stop_prob=0.3) -> np.ndarray:
     """Seeded random cut: walking down from the root, each not-yet-stopped
     node stops with probability ``stop_prob`` (terminals always stop)."""
     rng = np.random.default_rng(seed + 31_337)
-    stopped_above = np.zeros(tree.n_nodes, dtype=bool)
-    members = []
-    for t in range(tree.horizon + 1):
-        for i in tree.slice_nodes(t):
-            if t > 0 and stopped_above[tree.parent[i]]:
-                stopped_above[i] = True
-                continue
-            if t == tree.horizon or (t > 0 and rng.uniform() < stop_prob):
-                members.append(i)
-                stopped_above[i] = True
-    return np.asarray(members, dtype=np.int64)
+    stopped = np.zeros(tree.n_nodes, dtype=bool)  # a member at or above the node
+    members = [tree.slice_nodes(0)] if tree.horizon == 0 else []
+    for t in range(1, tree.horizon + 1):
+        nodes = tree.slice_nodes(t)
+        stopped[nodes] = stopped[tree.parent[nodes]]
+        live = nodes[~stopped[nodes]]
+        if t < tree.horizon:
+            live = live[rng.uniform(size=live.size) < stop_prob]
+        stopped[live] = True
+        members.append(live)
+    return np.concatenate(members)
 
 
 def _strictly_after(tree: EventTree, members) -> np.ndarray:

@@ -266,3 +266,18 @@ def test_verify_rejects_zero_instances(tmp_path, capsys):
     assert main(["verify", *BASE, "--instances", "0", "--out", str(tmp_path)]) == 1
     assert "instances" in capsys.readouterr().err
     assert not (tmp_path / "verify-11.json").exists()
+
+
+@pytest.mark.parametrize("argv, tree, words", [
+    (["verify", "--instances", "1"], {"depth": [1]}, "int()"),
+    (["verify", "--instances", "1"], {"kind": "lattice", "steps": 2}, "'lattice'"),
+    (["price"], {"kind": "explicit", "nodes": [5]}, "node 0: must be an object"),
+], ids=["verify-depth-list", "verify-lattice", "explicit-non-object-node"])
+def test_bad_tree_spec_is_exit_1_without_traceback(tmp_path, capsys, argv, tree,
+                                                   words):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": tree}))
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad tree spec" in err and words in err
+    assert not list(tmp_path.glob(f"{argv[0]}-*"))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,99 @@ def test_basis_risk_lattice_geometry():
 def test_random_tree_rejects_bad_shapes_naming_the_field(kwargs, field):
     with pytest.raises(TreeStructureError, match=field):
         random_tree(**kwargs)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _tree_arrays(tree):
+    return (tree.times, tree.parent, tree.prices, tree.edge_prob)
+
+
+# sha256 prefixes of the generators' output, recorded on the per-node
+# generators that built the frozen corpus; any rewrite must keep them
+RANDOM_TREE_DIGESTS = {
+    (9, 3, 1): "cac82fc7c839f969",
+    (4, (2, 4), 2): "a6f469428766ca04",
+    (6, 3, 2): "9bd1f2c705d43a9a",
+    (5, (2, 4), 1): "402ea146435ccc3d",
+    (3, (2, 7), 3): "2b257b15d9cef06e",
+    (3, 8, 1): "0085f8f6685bdb10",
+    (3, 8, 3): "f216717342201a5a",
+    (3, (2, 9), 2): "a1b1f43d23b8b99a",
+    (2, 12, 1): "5d0c9f00f6a53fb7",
+    (0, 3, 1): "1478efdedc290230",
+    (1, 2, 1): "6d4b61519646bd98",
+}
+
+
+def test_generators_are_bitwise_frozen(corpus, tree11):
+    for shape, want in RANDOM_TREE_DIGESTS.items():
+        got = _digest(*(a for seed in range(5)
+                        for a in _tree_arrays(random_tree(*shape, seed=seed))))
+        assert got == want, shape
+    assert _digest(*(a for i in range(100)
+                     for a in _tree_arrays(corpus(i)[0]))) == "ea561f5400f21c5b"
+    assert _digest(*_tree_arrays(binomial_tree(4))) == "21b21e97c3a9b40b"
+    assert _digest(*_tree_arrays(trinomial_tree(4))) == "e126c8d4ab166ba4"
+    assert _digest(*(random_stopping_rule(tree11, seed=s)
+                     for s in range(10))) == "10e9342cb2f2022e"
+    ragged = random_tree(5, (2, 4), 1, seed=3)
+    assert _digest(*(random_stopping_rule(ragged, seed=s, stop_prob=0.6)
+                     for s in range(10))) == "f5445727e2c85e30"
+    np.testing.assert_array_equal(random_stopping_rule(random_tree(0, 3, 1)), [0])
+
+
+def per_node_random_tree(depth, branching, assets, seed, vol=0.25):
+    """The per-node generator that built the frozen corpus (reference)."""
+    rng = np.random.default_rng(seed)
+    times, parent, prices, prob, prev = [0], [-1], [np.ones(assets)], [1.0], [0]
+    for t in range(depth):
+        nxt = []
+        for node in prev:
+            k = int(branching) if np.isscalar(branching) else int(
+                rng.integers(branching[0], branching[1] + 1))
+            scale = vol * rng.uniform(0.4, 1.0)
+            moves = rng.normal(0.0, scale, size=(k, assets))
+            moves -= moves.mean(axis=0)
+            w = rng.uniform(0.0, 1.0, size=k) + 0.25
+            w /= w.sum()
+            for j in range(k):
+                times.append(t + 1)
+                parent.append(node)
+                prices.append(prices[node] + moves[j])
+                prob.append(w[j])
+                nxt.append(len(times) - 1)
+        prev = nxt
+    return np.asarray(times), np.asarray(parent), np.vstack(prices), np.asarray(prob)
+
+
+def per_node_stopping_rule(tree, seed, stop_prob):
+    """The per-node walk behind ``random_stopping_rule`` (reference)."""
+    rng = np.random.default_rng(seed + 31_337)
+    stopped_above = np.zeros(tree.n_nodes, dtype=bool)
+    members = []
+    for t in range(tree.horizon + 1):
+        for i in tree.slice_nodes(t):
+            if t > 0 and stopped_above[tree.parent[i]]:
+                stopped_above[i] = True
+            elif t == tree.horizon or (t > 0 and rng.uniform() < stop_prob):
+                members.append(i)
+                stopped_above[i] = True
+    return np.asarray(members, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", [(3, (2, 5), 2), (4, 4, 1), (2, (3, 10), 1),
+                                   (3, (2, 2), 3), (1, 9, 2)])
+def test_slice_generators_match_per_node_reference(shape):
+    for seed in (5, 6, 7):
+        tree = random_tree(*shape, seed=seed)
+        for got, want in zip(_tree_arrays(tree), per_node_random_tree(*shape, seed)):
+            np.testing.assert_array_equal(got, want)
+        for s, p in ((seed, 0.3), (seed + 1, 0.05), (seed + 2, 0.9)):
+            np.testing.assert_array_equal(random_stopping_rule(tree, seed=s, stop_prob=p),
+                                          per_node_stopping_rule(tree, s, p))
