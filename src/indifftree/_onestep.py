@@ -20,8 +20,8 @@ iterates in the row space of the increments, so rank-deficient nodes
 return the minimal-norm multiplier / holdings.  Rows where a damped
 step makes no progress (the tilted covariance can collapse to a lower
 rank while the softmax saturates en route) switch to Levenberg
-ridge steps, bending toward steepest descent until progress resumes;
-the objective is smooth and convex, so this always recovers.
+ridge steps, bending toward steepest descent until progress resumes.
+A row that still stalls is accepted only on a duality-gap certificate.
 """
 
 from dataclasses import dataclass
@@ -33,13 +33,10 @@ from .tolerances import NEWTON_MAX_ITER
 
 _MAX_HALVINGS = 60
 _NO_ROWS = np.zeros(0, dtype=np.int64)
+_EPS32 = 32 * np.finfo(np.float64).eps  # float-noise envelope
 
-# A row that stalls (no damping or ridge makes progress) is still
-# accepted when its residual is below this multiple of max(1, |ds|_inf):
-# near the optimum the objective is flat to machine precision once the
-# softmax weights concentrate.  Each route keeps its own floor.
-ENTROPIC_FLOOR = 1e-10
-HEDGE_FLOOR = 1e-8
+# every weight of a certified kernel exceeds this (the LP accepts 1e-11)
+WITNESS_FLOOR = 1e-9
 
 
 @dataclass
@@ -61,7 +58,7 @@ class LseSolution:
     lse: np.ndarray        # (m,) minimal log-sum-exp
     iterations: np.ndarray  # (m,) Newton steps taken
     residual: np.ndarray   # (m,) |E_w[ds]|_inf, the gradient norm
-    failed: np.ndarray     # (m,) bool, residual above tolerance and floor
+    failed: np.ndarray     # (m,) bool, residual above tolerance
 
 
 def _evaluate(a, ds, lam):
@@ -122,7 +119,7 @@ def relint_witness(ds_row):
     return q[0] if drift[0] <= 1e-12 and q.min() > 0.0 else None
 
 
-def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
+def lse_newton(a, ds, lam0=None, *, newton_tol=1e-12,
                max_iter=NEWTON_MAX_ITER) -> LseSolution:
     """Minimise lse(a + ds . lam) over lam, row by row, by damped Newton.
 
@@ -131,15 +128,14 @@ def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
     a : (m, k) offsets.
     ds : (m, k, d) increments.
     lam0 : optional (m, d) start.
-    floor : stalled rows pass when their residual is below
-        ``floor * max(1, |ds|_inf)``.
     newton_tol : tolerance on the gradient E_w[ds], scaled per row by
-        max(1, |ds|_inf).
+        max(1, |ds|_inf), and on the relative duality gap of a stalled row.
 
     A damped step is accepted when it lowers lse, or, inside the
     float-noise envelope of lse, when it lowers the residual, so iterates
     can polish the root without ever jumping to a saturated region.
-    Rows are independent; unsolved ones are flagged, not raised, so the
+    Rows left above tolerance pass only if :func:`_certify` does.  Rows
+    are independent; unsolved ones are flagged, not raised, so the
     caller can name them.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -153,7 +149,6 @@ def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
     iters = np.zeros(m, dtype=np.int64)
     stalled = np.zeros(m, dtype=bool)
     mu = np.zeros(m)  # Levenberg ridge, in curvature units
-    eps32 = 32 * np.finfo(np.float64).eps
 
     for _ in range(max_iter):
         active = (resid > tol_row) & ~stalled
@@ -174,7 +169,7 @@ def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
             t_w, t_lse, t_mean, t_resid = _evaluate(a[rows], ds[rows], trial)
             lse_r = lse[rows]
             better = (t_lse < lse_r) | (
-                (t_lse <= lse_r + eps32 * np.maximum(1.0, np.abs(lse_r)))
+                (t_lse <= lse_r + _EPS32 * np.maximum(1.0, np.abs(lse_r)))
                 & (t_resid < resid[rows]))
             if better.all():
                 lam[rows], w[rows], lse[rows], mean[rows], resid[rows] = (
@@ -195,8 +190,36 @@ def lse_newton(a, ds, lam0=None, *, floor, newton_tol=1e-12,
             stalled[hard[mu[hard] > 1e8 * scale2[hard]]] = True
         iters[idx] += 1
 
-    failed = resid > np.maximum(tol_row, floor * scale)
-    return LseSolution(w, lam, lse, iters, resid, failed)
+    above = np.flatnonzero(resid > tol_row)
+    if above.size:  # martingale_part costs ~75 us even on zero rows
+        rows, *certified = _certify(a, ds, w, above, tol_row, newton_tol)
+        w[rows], lam[rows], lse[rows], resid[rows] = certified
+    return LseSolution(w, lam, lse, iters, resid, resid > tol_row)
+
+
+def _certify(a, ds, w, rows, tol_row, newton_tol):
+    """(rows, q, lam, lse, drift) of the stalled ``rows`` a duality gap certifies.
+
+    lse(a + ds . lam) >= -sum q (log q - a) for every strictly positive
+    martingale kernel q.  The weights move onto the exact martingale
+    kernels; one with drift <= ``tol_row`` and weights > ``WITNESS_FLOOR``
+    re-solves lam and lse from log q - a = ds . lam - lse.  A row passes
+    when lse, the primal at lam and the dual at q span <= newton_tol *
+    max(1, |lse|), or no more than the logits' rounding, 32 eps sum |ds lam|.
+    """
+    q, drift = martingale_part(w[rows], ds[rows])
+    keep = (drift <= tol_row[rows]) & (q.min(axis=1) > WITNESS_FLOOR)
+    rows, q, drift = rows[keep], q[keep], drift[keep]
+    a, ds = a[rows], ds[rows]
+    logq_a = np.log(q) - a
+    aug = np.concatenate([ds, -np.ones_like(ds[:, :, :1])], axis=2)
+    x = np.einsum("mjk,mk->mj", np.linalg.pinv(aug), logq_a)
+    lam, lse = x[:, :-1], x[:, -1]
+    primal, dual = _evaluate(a, ds, lam)[1], -np.einsum("mk,mk->m", q, logq_a)
+    gap = np.maximum(primal, lse) - np.minimum(dual, lse)
+    noise = _EPS32 * np.einsum("mkd,md->mk", np.abs(ds), np.abs(lam)).max(axis=1)
+    ok = gap <= np.maximum(newton_tol * np.maximum(1.0, np.abs(lse)), noise)
+    return rows[ok], q[ok], lam[ok], lse[ok], drift[ok]
 
 
 def martingale_part(w, ds):
@@ -262,7 +285,7 @@ def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12) -> BatchResul
     """
     ds = np.asarray(ds, dtype=np.float64)
     a = np.asarray(logp, dtype=np.float64) - np.asarray(cost, dtype=np.float64)
-    sol = lse_newton(a, ds, floor=ENTROPIC_FLOOR, newton_tol=newton_tol)
+    sol = lse_newton(a, ds, newton_tol=newton_tol)
     if sol.failed.any():
         raise unsolved_error("entropic", sol, ds, lambda r: f"batch row {r}")
     return BatchResult(sol.w, sol.lam, -sol.lse, sol.iterations, sol.residual,
@@ -278,7 +301,7 @@ def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12) -> BatchResult:
     """
     alpha = float(alpha)
     a = np.asarray(logq, dtype=np.float64) + alpha * np.asarray(cont, dtype=np.float64)
-    sol = lse_newton(a, ds, floor=HEDGE_FLOOR, newton_tol=newton_tol)
+    sol = lse_newton(a, ds, newton_tol=newton_tol)
     if sol.failed.any():
         raise unsolved_error("primal", sol, ds, lambda r: f"batch row {r} (alpha={alpha})")
     return BatchResult(sol.w, -sol.lam / alpha, sol.lse / alpha, sol.iterations,

@@ -41,7 +41,7 @@ from .measures import (MeasureProcess, conditional_expectation,
                        node_probabilities)
 from .superrep import superrep_surface
 from .tolerances import DEFAULT, Tolerances
-from .valuation import _surfaces, indifference_surface
+from .valuation import _primal_sweep, _surfaces, indifference_surface
 
 __all__ = [
     "SlopeFit",
@@ -320,11 +320,11 @@ def large_alpha_sweep(tree: EventTree, claim: ClaimSpec, grid,
     # the one decomposition
     values, strategy = [], []
     for a in grid:
-        res = indifference_surface(tree, claim, a, measure,
-                                   theta0=strategy[-1] if strategy else None, tol=tol)
-        values.append(res.surface.values)
-        strategy.append(res.strategy)
-    values, strategy = np.array(values), np.array(strategy)
+        v, th, _, _ = _primal_sweep(tree, measure, claim.values, a,
+                                    theta0=strategy[-1] if strategy else None, tol=tol)
+        values.append(v[0])
+        strategy.append(th)
+    values, strategy = np.array(values), np.concatenate(strategy)
     sol = _decompose(tree, measure, np.vstack([values, star.values]),
                      [*grid, np.inf], scheme=False)
     comp = sol.compensator[:-1]

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._onestep import _is_degenerate, lse_newton, martingale_part, relint_witness
+from ._onestep import WITNESS_FLOOR, _is_degenerate, lse_newton, martingale_part, relint_witness
 from .errors import NoArbitrageViolated, StoppingRuleError, TreeStructureError
 from .tolerances import DEFAULT, Tolerances
 
@@ -38,7 +38,6 @@ __all__ = [
     "basis_risk_lattice",
     "validate_no_arbitrage",
     "gains",
-    "zero_strategy",
     "random_strategy",
     "is_stopping_rule",
     "validate_stopping_rule",
@@ -182,10 +181,10 @@ class EventTree:
                 nodes = self.slice_nodes(t)
                 byk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
                 counts = self.child_count[nodes]
-                for k in np.unique(counts):
+                for k in sorted(set(counts.tolist())):  # np.unique imports numpy.ma
                     sel = nodes[counts == k]
                     ch = sel[:, None] * 0 + self.child_start[sel][:, None] + np.arange(k)[None, :]
-                    byk[int(k)] = (sel, ch)
+                    byk[k] = (sel, ch)
                 out.append(byk)
             self._groups = out
         return self._groups
@@ -408,7 +407,7 @@ def random_tree(depth, branching=3, assets=1, seed=0, *, vol=0.25,
             u.append(rng.uniform(0.0, 1.0, size=k))
             ks.append(k)
         ks, moves, w = np.asarray(ks), np.concatenate(moves), np.concatenate(u) + 0.25
-        for k in np.unique(ks):
+        for k in sorted(set(ks.tolist())):
             idx = np.flatnonzero(np.repeat(ks == k, ks)).reshape(-1, k)
             moves[idx] -= (moves[idx].sum(axis=1) / k)[:, None]  # centring => no arbitrage
             w[idx] /= w[idx].sum(axis=1, keepdims=True)
@@ -473,10 +472,6 @@ def build_tree(spec: dict, *, tol: Tolerances = DEFAULT) -> EventTree:
 # arbitrage validation
 
 
-# every weight of a certified witness exceeds this (the LP accepts 1e-11)
-WITNESS_FLOOR = 1e-9
-
-
 @dataclass
 class NoArbitrageReport:
     """Outcome of the one-step arbitrage scan.
@@ -522,7 +517,7 @@ def validate_no_arbitrage(tree: EventTree) -> NoArbitrageReport:
         for nodes, ch in byk.values():
             ds = tree.dprice[ch]
             ds = ds / np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))[:, None, None]
-            sol = lse_newton(logp[ch], ds, floor=0.0, max_iter=30)
+            sol = lse_newton(logp[ch], ds, max_iter=30)
             q, drift = martingale_part(sol.w, ds)
             ok = ~sol.failed & (drift <= 1e-12) & (q.min(axis=1) > WITNESS_FLOOR)
             for i, w in zip(nodes[ok].tolist(), q[ok]):
@@ -537,10 +532,6 @@ def validate_no_arbitrage(tree: EventTree) -> NoArbitrageReport:
 
 # ---------------------------------------------------------------------------
 # strategies and gains
-
-
-def zero_strategy(tree: EventTree) -> np.ndarray:
-    return np.zeros((tree.n_nodes, tree.n_assets))
 
 
 def random_strategy(tree: EventTree, seed=0, scale=1.0) -> np.ndarray:
@@ -578,7 +569,7 @@ def is_stopping_rule(tree: EventTree, members: np.ndarray) -> bool:
 
 
 def validate_stopping_rule(tree: EventTree, members) -> np.ndarray:
-    members = np.unique(np.asarray(members, dtype=np.int64))
+    members = np.array(sorted(set(np.ravel(members).tolist())), dtype=np.int64)
     if members.size and (members.min() < 0 or members.max() >= tree.n_nodes):
         raise StoppingRuleError("stopping rule contains invalid node ids")
     if not is_stopping_rule(tree, members):

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._onestep import (ENTROPIC_FLOOR, HEDGE_FLOOR, entropic_projection_batch,
-                       group_rows, lse_newton, sweep_error)
+from ._onestep import entropic_projection_batch, group_rows, lse_newton, sweep_error
 from .errors import NonMartingaleKernel, TreeStructureError
 from .lattice import ClaimSpec, EventTree, gains
 from .tolerances import DEFAULT, Tolerances
@@ -75,14 +74,6 @@ class MeasureProcess:
             raise NonMartingaleKernel("kernels do not make the price a martingale")
         q.setflags(write=False)
         return cls(q, mart)
-
-    @classmethod
-    def reference(cls, tree: EventTree) -> "MeasureProcess":
-        """The tree's own kernels (usually not a martingale measure)."""
-        return cls(tree.edge_prob, False)
-
-    def kernel(self, tree: EventTree, i: int) -> np.ndarray:
-        return self.edge_prob[tree.children_of(i)]
 
 
 @dataclass
@@ -173,8 +164,8 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     lam . dS)`` with ``logp`` the reference log-kernels (default: the
     tree's) and ``lam0`` an optional (B, n, d) warm start.  The primal
     hedge is this recursion under Q^E with cost ``-alpha B`` (J = -alpha C,
-    lam = -alpha theta); ``route="primal"`` selects its stall floor and
-    error label.  ``alphas`` (B,), when given, only labels rows in errors.
+    lam = -alpha theta).  ``route`` and ``alphas`` (B,), when given, only
+    label rows in errors: every route accepts rows as :func:`lse_newton` does.
     Returns ``(J (B, n), lam (B, n, d), q_edge (B, n), diag)``, diag
     holding ``iterations`` and ``max_residual`` (B,).
     """
@@ -183,7 +174,6 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     if costs.shape != (nb, tree.terminal_nodes.size):
         raise TreeStructureError("terminal cost must align with the terminal slice")
     n, d = tree.n_nodes, tree.n_assets
-    floor = HEDGE_FLOOR if route == "primal" else ENTROPIC_FLOOR
     value = np.zeros((nb, n))
     value[:, tree.terminal_nodes] = costs
     lam = np.zeros((nb, n, d))
@@ -199,7 +189,7 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
             rows = group_rows(tree.dprice[ch], nb)
             sol = lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
                              None if lam0 is None else lam0[:, nodes].reshape(nb * m, d),
-                             floor=floor, newton_tol=tol.newton)
+                             newton_tol=tol.newton)
             if sol.failed.any():
                 raise sweep_error(route, sol, rows, nodes, t, alphas)
             value[:, nodes] = -sol.lse.reshape(nb, m)

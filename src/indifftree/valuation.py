@@ -137,7 +137,7 @@ def _primal_sweep(tree: EventTree, measure: MeasureProcess, claims: np.ndarray,
 
 def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
                          measure: MeasureProcess | None = None, *,
-                         theta0=None, tol: Tolerances = DEFAULT) -> ValuationResult:
+                         tol: Tolerances = DEFAULT) -> ValuationResult:
     """Primal indifference value surface under the entropy-optimal measure.
 
     Parameters
@@ -147,8 +147,6 @@ def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
     alpha : risk aversion, > 0.
     measure : entropy-optimal martingale kernels; computed on the fly
         when omitted.
-    theta0 : optional (n, d) warm start for the per-node hedges (used by
-        risk-aversion sweeps).
 
     Returns the value surface, the per-node optimal holdings, and Newton
     diagnostics.
@@ -157,9 +155,7 @@ def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
     _check_risk_aversion(alpha)  # before the measure is built, not after
     if measure is None:
         measure = minimal_entropy_measure(tree, tol=tol).measure
-    values, theta, iters, resid = _primal_sweep(
-        tree, measure, claim.values, alpha,
-        theta0=None if theta0 is None else np.asarray(theta0)[None], tol=tol)
+    values, theta, iters, resid = _primal_sweep(tree, measure, claim.values, alpha, tol=tol)
     return ValuationResult(ValuationSurface(values[0], alpha, "primal"),
                            theta[0], int(iters[0]), float(resid[0]))
 

@@ -20,7 +20,8 @@ from indifftree import (BsdeSolution, ClaimSpec, arbitrage_bounds_check,
                         large_alpha_sweep, lipschitz_in_alpha,
                         minimal_entropy_measure, node_probabilities,
                         property_checks, random_claim, random_tree,
-                        small_alpha_sweep, superrep_surface, valuation)
+                        small_alpha_sweep, superrep_surface, valuation,
+                        verify_entropy_structure)
 from indifftree.errors import NewtonConvergenceError
 from indifftree.lattice import EventTree, random_stopping_rule
 from indifftree.measures import _entropic_sweep
@@ -220,8 +221,8 @@ def test_small_alpha_sweep_matches_loop(tree11, call11, entropy11, monkeypatch):
 
 
 def test_large_alpha_sweep_matches_loop(tree11, call11, entropy11):
-    """Each column against a per-alpha recomputation through the public
-    single-row functions, warm-started as the sweep is."""
+    """Each column against a per-alpha recomputation through the single-row
+    functions, warm-started through the primal sweep as the sweep is."""
     measure = entropy11.measure
     grid = [2.0 ** k for k in range(0, 11)]
     batched = large_alpha_sweep(tree11, call11, grid, measure, seed=0)
@@ -234,15 +235,14 @@ def test_large_alpha_sweep_matches_loop(tree11, call11, entropy11):
     nonterm = tree11.times < tree11.horizon
     loop = {k: [] for k in ("dist_sup", "comp_dist", "dist_psi_sq", "bmo_psi",
                             "bmo_L", "bmo_L_dist")}
-    theta0 = None
+    theta = None
     for a in grid:
-        res = indifference_surface(tree11, call11, a, measure, theta0=theta0)
-        theta0 = res.strategy
-        sol = exact_decomposition(tree11, res, measure)
-        loop["dist_sup"].append(np.abs(star.values - res.surface.values).max())
+        values, theta, _, _ = _primal_sweep(tree11, measure, call11.values, a, theta0=theta)
+        sol = exact_decomposition(tree11, values[0], measure, alpha=a)
+        loop["dist_sup"].append(np.abs(star.values - values[0]).max())
         diff_T = sol.compensator[term] - kstar[term]
         loop["comp_dist"].append(probs[term] @ np.abs(diff_T))
-        dpsi = res.strategy - star.psi
+        dpsi = theta[0] - star.psi
         quad = np.einsum("nd,nde,ne->n", dpsi, w, dpsi)
         loop["dist_psi_sq"].append(probs[nonterm] @ quad[nonterm])
         bm = bmo_norms(tree11, sol, measure)
@@ -293,15 +293,64 @@ def test_dual_surface_matches_two_leg_loop(i):
 
 
 def test_solver_error_names_node_slice_and_alpha():
-    # D5: a duplicated asset makes the increments rank deficient and the
-    # claim leg stalls just above its floor; the stall itself is still open
+    # D9: a cold-start hedge stalls on an incomplete node (k = 4), where
+    # no duality gap certifies the stalled row
+    tree = random_tree(4, (2, 4), 2, seed=6)
+    with pytest.raises(NewtonConvergenceError,
+                       match=r"^primal .* at node 9 \(slice 2, alpha=128\.0\)$"):
+        indifference_surface(tree, random_claim(tree, seed=106), 128.0)
+
+
+def _duplicated_asset_case():
+    # D5: a duplicated asset makes the increments rank deficient
     base = random_tree(3, 3, 2, seed=5)
     tree = EventTree(base.times, base.parent,
                      np.hstack([base.prices, base.prices[:, :1]]), base.edge_prob)
-    claim = claim_from_expression(tree, "call(S1, 1) + put(S3, 0.9)")
-    with pytest.raises(NewtonConvergenceError,
-                       match=r"^entropic .* at node 12 \(slice 2, alpha=2\.0\)$"):
-        dual_surface(tree, claim, 2.0)
+    return tree, claim_from_expression(tree, "call(S1, 1) + put(S3, 0.9)"), 2.0
+
+
+def _random_case(depth, branching, assets, seed, claim_seed=None, alpha=None):
+    tree = random_tree(depth, branching, assets, seed=seed)
+    claim = None if claim_seed is None else random_claim(tree, seed=claim_seed)
+    return tree, claim, alpha
+
+
+@pytest.mark.parametrize("case", [
+    _duplicated_asset_case,                                   # D5
+    lambda: _random_case(8, 3, 2, 6, 117, 4.0),               # dual_stall
+    lambda: _random_case(4, (2, 4), 2, 1857501465, 843068615, 0.25),  # corpus_dual_stall
+    lambda: _random_case(8, 3, 2, 23),                        # measure_stall_d2
+    lambda: _random_case(8, 3, 2, 27),                        # the measure stalls too
+    lambda: _random_case(7, 3, 2, 1, 2, 64.0),                # primal_cold_stall
+], ids=["d5", "dual_stall", "corpus_dual_stall", "measure_stall_d2",
+        "measure_seed27", "primal_cold_stall"])
+def test_stalled_rows_are_certified_by_their_duality_gap(case):
+    """Rows that stall above tol.newton price through the duality-gap
+    certificate, and what they return is exact: the routes agree and
+    every log-density keeps its exponential-of-gains form."""
+    tree, claim, alpha = case()
+    entropy = minimal_entropy_measure(tree)
+    assert verify_entropy_structure(tree, entropy) <= 1e-9
+    if claim is None:
+        return
+    primal = indifference_surface(tree, claim, alpha, entropy.measure)
+    dual = dual_surface(tree, claim, alpha)
+    assert np.abs(primal.surface.values - dual.surface.values).max() <= 1e-9
+    for leg in (dual.zero_leg, dual.claim_leg):
+        assert verify_entropy_structure(tree, leg) <= 1e-9
+
+
+def test_certificate_allows_for_the_rounding_of_the_logits():
+    # node 35 is complete and near-singular (cond [ds | -1] = 7e5): at
+    # alpha = 1024 lam reaches 3e8, so the logits a + ds . lam round at
+    # ~1e-8, far above 1e-12 * |lse|.  At a complete node the value is the
+    # children's mean under the one martingale kernel, the measure's own.
+    tree = random_tree(4, (3, 5), 3, seed=5013)
+    claim = random_claim(tree, seed=6013)
+    measure = minimal_entropy_measure(tree).measure
+    values = indifference_surface(tree, claim, 1024.0, measure).surface.values
+    ch = tree.children_of(35)
+    assert abs(values[35] - measure.edge_prob[ch] @ values[ch]) <= 1e-11
 
 
 def test_benchmark_probe_names_resolve():

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import indifftree
 from indifftree import (ClaimSpec, TreeStructureError, binomial_tree,
                         build_tree, gains, horizon_rule, is_stopping_rule,
                         random_claim, random_stopping_rule, random_strategy,
@@ -226,6 +231,27 @@ def test_generators_are_bitwise_frozen(corpus, tree11):
     assert _digest(*(random_stopping_rule(ragged, seed=s, stop_prob=0.6)
                      for s in range(10))) == "f5445727e2c85e30"
     np.testing.assert_array_equal(random_stopping_rule(random_tree(0, 3, 1)), [0])
+
+
+NUMPY_MA_SCRIPT = """
+import sys
+from indifftree import (indifference_surface, random_claim, random_stopping_rule,
+                        random_tree, time_consistency_check)
+tree = random_tree(3, (2, 4), 2, seed=0)
+tree.groups()
+indifference_surface(tree, random_claim(tree, seed=0), 1.0)
+time_consistency_check(tree, random_claim(tree, seed=1), 1.0,
+                       random_stopping_rule(tree, seed=0), tree.terminal_nodes)
+print('numpy.ma' in sys.modules)
+"""
+
+
+def test_tree_build_and_pricing_never_load_numpy_ma():
+    # np.unique imports numpy.ma, 10-19 ms a process
+    env = dict(os.environ, PYTHONPATH=str(Path(indifftree.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def per_node_random_tree(depth, branching, assets, seed, vol=0.25):
