@@ -146,6 +146,7 @@ class EventTree:
         self._slice_bounds = _freeze(bounds)
         self._groups: list | None = None
         self._degenerate: int | None = None
+        self._zero_legs: dict = {}  # Tolerances -> zero-cost EntropyResult, filled by measures
 
     # -- structure access -------------------------------------------------
 

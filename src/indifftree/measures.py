@@ -85,7 +85,7 @@ class DensitySurface:
     edge_ratio: np.ndarray  # (n,) one-step ratio q/r along the incoming edge
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntropyResult:
     """Output of the entropic backward recursion.
 
@@ -222,14 +222,25 @@ def minimal_entropy_measure(tree: EventTree, terminal_cost=None, *,
     Returns an :class:`EntropyResult`; its ``value_surface`` is the
     optimal conditional cost-to-go and satisfies the exponential-of-gains
     structure of the terminal density exactly (see
-    :func:`verify_entropy_structure`).
+    :func:`verify_entropy_structure`).  The zero-cost result depends only
+    on the tree and ``tol``, so it is swept once per pair and returned
+    read-only on every later call; an explicit ``terminal_cost`` always
+    runs a fresh sweep.
     """
-    cost = np.zeros(tree.terminal_nodes.size) if terminal_cost is None else \
+    zero = terminal_cost is None
+    if zero and tol in tree._zero_legs:
+        return tree._zero_legs[tol]
+    cost = np.zeros(tree.terminal_nodes.size) if zero else \
         np.asarray(terminal_cost, dtype=np.float64)
     if cost.ndim != 1:
         raise TreeStructureError("terminal cost must align with the terminal slice")
-    sweep = _entropic_sweep(tree, cost, tol)
-    return _entropy_result(tree, cost, *sweep, 0, tol)
+    result = _entropy_result(tree, cost, *_entropic_sweep(tree, cost, tol), 0, tol)
+    if not zero:
+        return result
+    # every later call returns this object, so no caller may write to it
+    for a in (result.value_surface, result.multipliers, result.terminal_cost):
+        a.setflags(write=False)
+    return tree._zero_legs.setdefault(tol, result)
 
 
 def claim_tilted_measure(tree: EventTree, claim: ClaimSpec, alpha: float, *,

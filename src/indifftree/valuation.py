@@ -70,6 +70,10 @@ class ValuationResult:
 
 @dataclass
 class DualResult:
+    """The dual surface and its two legs.  ``zero_leg`` is the tree's
+    shared :func:`minimal_entropy_measure` result: its ``iterations``
+    count the sweep that built it, not work done by this call."""
+
     surface: ValuationSurface
     zero_leg: EntropyResult
     claim_leg: EntropyResult
@@ -145,8 +149,8 @@ def indifference_surface(tree: EventTree, claim: ClaimSpec, alpha: float,
     tree : event tree.
     claim : terminal payoff.
     alpha : risk aversion, > 0.
-    measure : entropy-optimal martingale kernels; computed on the fly
-        when omitted.
+    measure : entropy-optimal martingale kernels; when omitted, the
+        tree's :func:`minimal_entropy_measure` (swept once per tree).
 
     Returns the value surface, the per-node optimal holdings, and Newton
     diagnostics.
@@ -167,14 +171,16 @@ def dual_surface(tree: EventTree, claim: ClaimSpec, alpha: float, *,
     The claim leg runs with terminal cost ``-alpha * B`` (its optimal
     kernels form the claim-tilted measure), the zero leg with zero cost
     (minimal entropy measure); the surface is their scaled difference.
-    Both legs run as one batched sweep.
+    The zero leg depends on neither the claim nor alpha: it is the
+    tree's :func:`minimal_entropy_measure`, swept once per tree and
+    tolerance set, so a call sweeps only the claim leg.
     """
     alpha = float(alpha)
     _check_risk_aversion(alpha)
-    costs = np.stack([np.zeros_like(claim.values), -alpha * claim.values])
-    sweep = _entropic_sweep(tree, costs, tol, alphas=(alpha, alpha))
-    zero_leg, claim_leg = (_entropy_result(tree, costs[j], *sweep, j, tol)
-                           for j in range(2))
+    zero_leg = minimal_entropy_measure(tree, tol=tol)
+    cost = -alpha * claim.values
+    sweep = _entropic_sweep(tree, cost, tol, alphas=(alpha,))
+    claim_leg = _entropy_result(tree, cost, *sweep, 0, tol)
     values = (zero_leg.value_surface - claim_leg.value_surface) / alpha
     return DualResult(ValuationSurface(values, alpha, "dual"), zero_leg, claim_leg)
 

@@ -17,14 +17,14 @@ from indifftree import (BsdeSolution, ClaimSpec, arbitrage_bounds_check,
                         asymptotics, bmo_norms, bracket_weights, bsde,
                         claim_from_expression, continuity_in_B, dual_surface,
                         exact_decomposition, indifference_surface,
-                        large_alpha_sweep, lipschitz_in_alpha,
+                        large_alpha_sweep, lipschitz_in_alpha, measures,
                         minimal_entropy_measure, node_probabilities,
                         property_checks, random_claim, random_tree,
                         small_alpha_sweep, superrep_surface, valuation,
                         verify_entropy_structure)
 from indifftree.errors import NewtonConvergenceError
 from indifftree.lattice import EventTree, random_stopping_rule
-from indifftree.measures import _entropic_sweep
+from indifftree.measures import _entropic_sweep, _entropy_result
 from indifftree.tolerances import DEFAULT
 from indifftree.valuation import _primal_sweep, _time_measurable, one_step_primal
 from conftest import corpus_instance
@@ -286,6 +286,45 @@ def test_dual_surface_matches_two_leg_loop(i):
         assert np.abs(dual.surface.values - loop).max() <= 1e-12
         assert np.abs(dual.claim_leg.measure.edge_prob
                       - leg.measure.edge_prob).max() <= 1e-12
+
+
+def test_warm_dual_surface_sweeps_only_the_claim_leg(monkeypatch):
+    tree = random_tree(4, (2, 4), 1, seed=3)
+    claim = random_claim(tree, seed=4)
+    minimal_entropy_measure(tree)
+    rows, lse_newton = [], measures.lse_newton
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return lse_newton(a, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "lse_newton", counted)
+    dual_surface(tree, claim, 1.0)
+    groups = tree.groups()
+    assert rows == [nodes.size for t in range(tree.horizon - 1, -1, -1)
+                    for nodes, _ in groups[t].values()]
+
+
+def test_dual_surface_equals_the_stacked_two_leg_sweep():
+    # the zero leg is shared across calls, the claim leg swept alone: both
+    # must equal, bit for bit, one sweep of the stacked [0, -alpha B] rows
+    fields = ("value_surface", "multipliers", "terminal_cost")
+    for i in range(100):
+        tree, claim = corpus_instance(i)
+        for alpha in (0.25, 1.0, 4.0):
+            costs = np.stack([np.zeros_like(claim.values), -alpha * claim.values])
+            sweep = _entropic_sweep(tree, costs, DEFAULT, alphas=(alpha, alpha))
+            legs = [_entropy_result(tree, costs[j], *sweep, j, DEFAULT) for j in range(2)]
+            dual = dual_surface(tree, claim, alpha)
+            assert np.array_equal(
+                dual.surface.values,
+                (legs[0].value_surface - legs[1].value_surface) / alpha), (i, alpha)
+            for got, want in zip((dual.zero_leg, dual.claim_leg), legs):
+                for name in fields:
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                        (i, alpha, name)
+                assert np.array_equal(got.measure.edge_prob, want.measure.edge_prob)
+                assert got.iterations == want.iterations
 
 
 # ---------------------------------------------------------------------------

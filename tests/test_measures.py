@@ -6,6 +6,10 @@ constrained minimizer over the full terminal-probability polytope for
 whole small trees.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -17,6 +21,7 @@ from indifftree import (binomial_tree, claim_tilted_measure,
                         verify_entropy_structure)
 from indifftree.errors import TreeStructureError
 from indifftree.measures import MeasureProcess, expected_remaining
+from indifftree.tolerances import Tolerances
 from conftest import corpus_instance
 
 
@@ -238,3 +243,46 @@ def test_scale_constant_consistency(tree11, entropy11):
 def test_from_edges_rejects_wrong_shape_before_writing(tree11, edge_prob):
     with pytest.raises(TreeStructureError, match="wrong length"):
         MeasureProcess.from_edges(tree11, edge_prob)
+
+
+# ---------------------------------------------------------------------------
+# the zero-cost leg is swept once per (tree, tolerances) pair
+
+
+def test_zero_leg_is_one_object_per_tolerance_set():
+    tree = random_tree(3, 3, 1, seed=5)
+    first = minimal_entropy_measure(tree)
+    assert minimal_entropy_measure(tree, tol=Tolerances()) is first
+    loose = minimal_entropy_measure(tree, tol=Tolerances(newton=1e-10))
+    assert loose is not first
+    assert minimal_entropy_measure(tree, tol=Tolerances(newton=1e-10)) is loose
+
+
+def test_explicit_zero_cost_runs_a_fresh_sweep():
+    tree = random_tree(3, 3, 1, seed=5)
+    shared = minimal_entropy_measure(tree)
+    fresh = minimal_entropy_measure(tree, np.zeros(tree.terminal_nodes.size))
+    assert fresh is not shared
+    assert np.array_equal(fresh.value_surface, shared.value_surface)
+    assert np.array_equal(fresh.measure.edge_prob, shared.measure.edge_prob)
+    assert fresh.iterations == shared.iterations
+
+
+def test_shared_zero_leg_is_read_only():
+    tree = random_tree(3, 3, 1, seed=5)
+    ent = minimal_entropy_measure(tree)
+    for a in (ent.value_surface, ent.multipliers, ent.terminal_cost,
+              ent.measure.edge_prob):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ent.iterations = 0
+
+
+def test_zero_leg_does_not_keep_its_tree_alive():
+    tree = random_tree(3, 3, 1, seed=5)
+    minimal_entropy_measure(tree)
+    ref = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert ref() is None
