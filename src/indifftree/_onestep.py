@@ -14,14 +14,21 @@ with k children each, increments (m, k, d)):
   offsets log q + a cont, multiplier lam = -a theta and value lse / a,
   so the risk aversion is per-row data the kernel never sees.
 
-All exponentials run through log-sum-exp with max shifts.  Singular
-Newton systems fall back to pseudo-inverse steps, which keeps the
-iterates in the row space of the increments, so rank-deficient nodes
-return the minimal-norm multiplier / holdings.  Rows where a damped
-step makes no progress (the tilted covariance can collapse to a lower
-rank while the softmax saturates en route) switch to Levenberg
-ridge steps, bending toward steepest descent until progress resumes.
-A row that still stalls is accepted only on a duality-gap certificate.
+Inside the kernel, arrays are children-major (a (k, m), ds (d, k, m),
+lam (d, m)), so sums and maxima over children run along a leading axis;
+child sums add one child after the other.  Every Newton iteration steps
+all rows: converged and stalled rows take a zero step, which re-evaluates
+to their own bits, and only rows whose full step fails are gathered for
+step halving.  All exponentials run through log-sum-exp with max shifts.
+
+Singular Newton systems fall back to pseudo-inverse steps.  Those invert
+rounding noise in the null direction, so rank-deficient rows drop the
+part of lam off the increments' row space once Newton is done and return
+the minimal-norm multiplier / holdings.  Rows where a damped step makes
+no progress (the tilted covariance can collapse to a lower rank while
+the softmax saturates en route) switch to Levenberg ridge steps, bending
+toward steepest descent until progress resumes.  A row that still stalls
+is accepted only on a duality-gap certificate.
 """
 
 from dataclasses import dataclass
@@ -32,7 +39,6 @@ from .errors import NewtonConvergenceError, NoArbitrageViolated
 from .tolerances import NEWTON_MAX_ITER
 
 _MAX_HALVINGS = 60
-_NO_ROWS = np.zeros(0, dtype=np.int64)
 _EPS32 = 32 * np.finfo(np.float64).eps  # float-noise envelope
 
 # every weight of a certified kernel exceeds this (the LP accepts 1e-11)
@@ -59,32 +65,79 @@ class LseSolution:
     iterations: np.ndarray  # (m,) Newton steps taken
     residual: np.ndarray   # (m,) |E_w[ds]|_inf, the gradient norm
     failed: np.ndarray     # (m,) bool, residual above tolerance
+    degenerate: np.ndarray  # (m,) bool, increments rank deficient
+
+
+def _children_major(a, ds):
+    """(m, k) offsets and (m, k, d) increments as contiguous (k, m), (d, k, m)."""
+    return np.ascontiguousarray(a.T), np.ascontiguousarray(ds.transpose(2, 1, 0))
+
+
+def _child_sum(x):
+    """Sum over the children axis -2, one child after the other: numpy sums
+    a lone column of 8 or more pairwise, which would tie a row's bits to
+    its batch."""
+    s = x[..., 0, :].copy()
+    for i in range(1, x.shape[-2]):
+        s += x[..., i, :]
+    return s
 
 
 def _evaluate(a, ds, lam):
-    """Softmax weights, lse, weighted increment mean and its sup norm."""
-    logits = a + np.einsum("mkd,md->mk", ds, lam)
-    mx = logits.max(axis=1, keepdims=True)
-    w = np.exp(logits - mx)
-    z = w.sum(axis=1, keepdims=True)
+    """lam with the softmax weights (k, m), lse, weighted increments w ds
+    (d, k, m), their mean E_w[ds] (d, m) and its sup norm, children-major."""
+    logits = ds[0] * lam[0]
+    for j in range(1, lam.shape[0]):
+        logits += ds[j] * lam[j]
+    logits += a
+    mx = logits.max(axis=0)
+    logits -= mx
+    w = np.exp(logits, out=logits)
+    z = _child_sum(w)
     w /= z
-    mean = np.einsum("mk,mkd->md", w, ds)
-    return w, np.log(z[:, 0]) + mx[:, 0], mean, np.abs(mean).max(axis=1)
+    wds = w * ds
+    mean = _child_sum(wds)
+    return lam, w, np.log(z) + mx, wds, mean, np.abs(mean).max(axis=0)
 
 
-def _pinv_step(cov, grad, mu):
-    """- pinv(cov + mu I) @ grad, batched; stays in the increment row space.
-
-    ``mu`` is a per-row ridge (Levenberg damping); zero rows take the
-    plain pseudo-inverse step.
-    """
-    d = cov.shape[-1]
-    if np.any(mu > 0):
-        cov = cov + mu[:, None, None] * np.eye(d)
+def _newton_step(wds, ds, mean, mu, active):
+    """-pinv(cov + mu I) @ mean on the active rows, zero on the others, with
+    cov = E_w[ds ds^T] - mean mean^T and ``mu`` the per-row Levenberg ridge."""
+    d = mean.shape[0]
     if d == 1:
-        c = cov[:, :, 0]
-        return np.divide(-grad, c, out=np.zeros_like(grad), where=c > 0)
-    return -np.einsum("mij,mj->mi", np.linalg.pinv(cov, hermitian=True), grad)
+        c = _child_sum(wds[0] * ds[0]) - mean[0] * mean[0] + mu
+        return np.divide(-mean, c, out=np.zeros_like(mean), where=active & (c > 0))
+    cov = _child_sum(wds[:, None] * ds) - mean[:, None] * mean  # (d, d, m)
+    rows = np.flatnonzero(active)
+    ev, u = np.linalg.eigh(cov[:, :, rows].transpose(2, 0, 1) + mu[rows, None, None] * np.eye(d))
+    keep = np.abs(ev) > 1e-15 * np.abs(ev).max(axis=1, keepdims=True)  # pinv's cut
+    c = np.divide((u * mean[:, rows].T[:, :, None]).sum(axis=1), ev,
+                  out=np.zeros_like(ev), where=keep)
+    step = np.zeros_like(mean)
+    step[:, rows] = -(u * c[:, None, :]).sum(axis=2).T
+    return step
+
+
+def _better(t_lse, t_resid, lse, resid):
+    """Acceptance: lse drops, or stays in its float noise while the residual drops."""
+    return (t_lse < lse) | ((t_lse <= lse + _EPS32 * np.maximum(1.0, np.abs(lse)))
+                            & (t_resid < resid))
+
+
+def _halve(a, ds, state, rows, step):
+    """Halve the step of the ``rows`` whose full step failed, writing accepted
+    trials into ``state``; returns the rows no damping scale helped."""
+    a, ds, step, t = a[:, rows], ds[:, :, rows], step[:, rows], 1.0
+    for _ in range(1, _MAX_HALVINGS):
+        t *= 0.5
+        trial = _evaluate(a, ds, state[0][:, rows] + t * step)
+        ok = _better(trial[2], trial[5], state[2][rows], state[5][rows])
+        for x, y in zip(state, trial):
+            x[..., rows[ok]] = y[..., ok]
+        rows, step, a, ds = (x[..., ~ok] for x in (rows, step, a, ds))
+        if not rows.size:
+            break
+    return rows
 
 
 def _is_degenerate(ds):
@@ -135,66 +188,71 @@ def lse_newton(a, ds, lam0=None, *, newton_tol=1e-12,
     float-noise envelope of lse, when it lowers the residual, so iterates
     can polish the root without ever jumping to a saturated region.
     Rows left above tolerance pass only if :func:`_certify` does.  Rows
-    are independent; unsolved ones are flagged, not raised, so the
-    caller can name them.
+    are independent, bit for bit; unsolved ones are flagged, not raised,
+    so the caller can name them.
     """
     a = np.asarray(a, dtype=np.float64)
     ds = np.asarray(ds, dtype=np.float64)
     m, k, d = ds.shape
-    lam = np.zeros((m, d)) if lam0 is None else np.array(lam0, dtype=np.float64)
-    scale = np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))
+    a_t, ds_t = _children_major(a, ds)
+    lam = np.zeros((d, m)) if lam0 is None else \
+        np.array(np.transpose(lam0), dtype=np.float64, order="C")
+    scale = np.maximum(1.0, np.abs(ds_t).max(axis=(0, 1)))
     tol_row = newton_tol * scale
     scale2 = scale ** 2
-    w, lse, mean, resid = _evaluate(a, ds, lam)
+    state = _evaluate(a_t, ds_t, lam)  # lam, w, lse, wds, mean, resid
     iters = np.zeros(m, dtype=np.int64)
     stalled = np.zeros(m, dtype=bool)
     mu = np.zeros(m)  # Levenberg ridge, in curvature units
 
     for _ in range(max_iter):
+        lam, _, lse, wds, mean, resid = state
         active = (resid > tol_row) & ~stalled
-        n_active = np.count_nonzero(active)
-        if n_active == 0:
+        if not active.any():
             break
-        # a slice while every row is active, so the row gathers are views
-        idx = slice(None) if n_active == m else np.flatnonzero(active)
-        ds_i, mean_i = ds[idx], mean[idx]
-        cov = (np.einsum("mk,mki,mkj->mij", w[idx], ds_i, ds_i)
-               - mean_i[:, :, None] * mean_i[:, None, :])
-        step = _pinv_step(cov, mean_i, mu[idx])
-        # halve the step of the rows still pending; a row's accepted trial
-        # is written back at once, the pending rows keep their iterate
-        rows, t, hard = idx, 1.0, _NO_ROWS
-        for _h in range(_MAX_HALVINGS):
-            trial = lam[rows] + t * step
-            t_w, t_lse, t_mean, t_resid = _evaluate(a[rows], ds[rows], trial)
-            lse_r = lse[rows]
-            better = (t_lse < lse_r) | (
-                (t_lse <= lse_r + _EPS32 * np.maximum(1.0, np.abs(lse_r)))
-                & (t_resid < resid[rows]))
-            if better.all():
-                lam[rows], w[rows], lse[rows], mean[rows], resid[rows] = (
-                    trial, t_w, t_lse, t_mean, t_resid)
-                hard = _NO_ROWS
-                break
-            rows = np.arange(m)[rows]
-            acc, hard, step = rows[better], rows[~better], step[~better]
-            lam[acc], w[acc], lse[acc], mean[acc], resid[acc] = (
-                x[better] for x in (trial, t_w, t_lse, t_mean, t_resid))
-            rows, t = hard, 0.5 * t
-        mu_hard = mu[hard]
-        mu[idx] *= 0.25
-        if hard.size:
+        step = _newton_step(wds, ds_t, mean, mu, active)
+        trial = _evaluate(a_t, ds_t, lam + step)
+        # every row takes its full step, the rows it fails keep their iterate;
+        # a zero step (converged, stalled rows) re-evaluates to the same bits
+        rows = np.flatnonzero(active & ~_better(trial[2], trial[5], lse, resid))
+        if rows.size:
+            for x, y in zip(trial, state):
+                x[..., rows] = y[..., rows]
+            rows = _halve(a_t, ds_t, trial, rows, step)
+        state, mu_hard = trial, mu[rows]
+        np.multiply(mu, 0.25, out=mu, where=active)
+        if rows.size:
             # rows no damping scale helped: raise the ridge and try again,
             # giving up only deep in the steepest-descent regime
-            mu[hard] = np.where(mu_hard == 0.0, 1e-8 * scale2[hard], mu_hard * 10.0)
-            stalled[hard[mu[hard] > 1e8 * scale2[hard]]] = True
-        iters[idx] += 1
+            mu[rows] = np.where(mu_hard == 0.0, 1e-8 * scale2[rows], mu_hard * 10.0)
+            stalled[rows[mu[rows] > 1e8 * scale2[rows]]] = True
+        iters += active
 
+    lam, w, lse, _, _, resid = (x.T for x in state)  # back to rows first
     above = np.flatnonzero(resid > tol_row)
     if above.size:  # martingale_part costs ~75 us even on zero rows
         rows, *certified = _certify(a, ds, w, above, tol_row, newton_tol)
         w[rows], lam[rows], lse[rows], resid[rows] = certified
-    return LseSolution(w, lam, lse, iters, resid, resid > tol_row)
+    deg = _minimal_norm(ds, ds_t, lam)
+    return LseSolution(w, lam, lse, iters, resid, resid > tol_row, deg)
+
+
+def _minimal_norm(ds, ds_t, lam):
+    """Flag the rows whose increments do not span the asset space and drop,
+    in place, the part of their lam off the increments' row space: the
+    pseudo-inverse Newton steps invert rounding noise there.  ``ds_t`` is
+    ds children-major."""
+    if ds_t.shape[0] == 1:
+        deg = ~ds_t[0].any(axis=0)
+        lam[deg] = 0.0
+        return deg
+    deg = _is_degenerate(ds)
+    if deg.any():  # singular vectors only for the flagged rows
+        _, sv, vt = np.linalg.svd(ds[deg], full_matrices=False)
+        basis = vt * (sv > 1e-12 * np.maximum(sv[:, :1], 1e-300))[:, :, None]
+        coef = (basis * lam[deg][:, None, :]).sum(axis=2)
+        lam[deg] = (basis * coef[:, :, None]).sum(axis=1)
+    return deg
 
 
 def _certify(a, ds, w, rows, tol_row, newton_tol):
@@ -215,7 +273,8 @@ def _certify(a, ds, w, rows, tol_row, newton_tol):
     aug = np.concatenate([ds, -np.ones_like(ds[:, :, :1])], axis=2)
     x = np.einsum("mjk,mk->mj", np.linalg.pinv(aug), logq_a)
     lam, lse = x[:, :-1], x[:, -1]
-    primal, dual = _evaluate(a, ds, lam)[1], -np.einsum("mk,mk->m", q, logq_a)
+    primal = _evaluate(*_children_major(a, ds), lam.T)[2]
+    dual = -np.einsum("mk,mk->m", q, logq_a)
     gap = np.maximum(primal, lse) - np.minimum(dual, lse)
     noise = _EPS32 * np.einsum("mkd,md->mk", np.abs(ds), np.abs(lam)).max(axis=1)
     ok = gap <= np.maximum(newton_tol * np.maximum(1.0, np.abs(lse)), noise)
@@ -289,7 +348,7 @@ def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12) -> BatchResul
     if sol.failed.any():
         raise unsolved_error("entropic", sol, ds, lambda r: f"batch row {r}")
     return BatchResult(sol.w, sol.lam, -sol.lse, sol.iterations, sol.residual,
-                       _is_degenerate(ds))
+                       sol.degenerate)
 
 
 def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12) -> BatchResult:

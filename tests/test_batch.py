@@ -66,6 +66,56 @@ def test_batched_entropic_sweep_equals_row_sweeps(shape):
         assert diag["iterations"][b] == diag1["iterations"][0]
 
 
+def _kernel_rows(rng, m, k, d):
+    """m kernel rows (a, ds): increments centred under a random kernel q,
+    every third row with alpha * cont spread over 1e2..1e3 (step halving,
+    Levenberg steps), rank-deficient rows and, at row 5, no martingale
+    kernel at all."""
+    q = rng.dirichlet(np.ones(k), m)
+    ds = rng.normal(scale=0.1, size=(m, k, d))
+    ds[1::5, :, -1] = 0.0 if d == 1 else ds[1::5, :, 0]  # rank deficient
+    ds -= np.einsum("mk,mkd->md", q, ds)[:, None, :]
+    ds[5] = np.abs(ds[5]) + 0.01  # every increment positive: an arbitrage
+    spread = np.where(np.arange(m) % 3 == 0, 10.0 ** rng.uniform(2, 3, m), 1.0)
+    return np.log(q) + spread[:, None] * rng.uniform(-1, 1, (m, k)), ds
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_rows_are_independent_bit_for_bit(monkeypatch, k, d):
+    # a row's result must not depend on the batch it is solved in, down to
+    # the last bit: the dual route and the batched sweeps rely on it
+    from indifftree import _onestep
+
+    seen = set()
+    halve, newton_step = _onestep._halve, _onestep._newton_step
+
+    def halving(*args):
+        seen.add("halving")
+        return halve(*args)
+
+    def levenberg(wds, ds, mean, mu, active):
+        if np.any(mu > 0):
+            seen.add("levenberg")
+        return newton_step(wds, ds, mean, mu, active)
+
+    monkeypatch.setattr(_onestep, "_halve", halving)
+    monkeypatch.setattr(_onestep, "_newton_step", levenberg)
+    a, ds = _kernel_rows(np.random.default_rng(100 * k + d), 300, k, d)
+    full = _onestep.lse_newton(a, ds)
+    assert seen == {"halving", "levenberg"}
+    assert full.failed[5]
+    fields = ("w", "lam", "lse", "iterations", "residual", "failed", "degenerate")
+    sub = _onestep.lse_newton(a[:7], ds[:7])
+    rows = [(sub, r, r) for r in range(7)]
+    rows += [(_onestep.lse_newton(a[r:r + 1], ds[r:r + 1]), 0, r)
+             for r in [*range(7), *range(7, 300, 7)]]
+    for sol, i, r in rows:
+        for name in fields:
+            got, want = getattr(sol, name)[i], getattr(full, name)[r]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (r, name)
+
+
 def test_primal_sweep_returns_the_claim_exactly_at_the_horizon():
     # the sweep runs on J = -alpha C, and -(-alpha B) / alpha can miss B
     tree = random_tree(3, 3, 1, seed=7)

@@ -191,6 +191,31 @@ def test_attainable_claim_priced_exactly():
         np.testing.assert_allclose(res.surface.values, 0.3 + g, atol=1e-10)
 
 
+def _off_span(tree, x):
+    """Per non-terminal node, the part of x[i] outside the span of the
+    node's increments."""
+    out = np.zeros(tree.n_nodes)
+    for i in np.flatnonzero(tree.times < tree.horizon):
+        _, sv, vt = np.linalg.svd(tree.increments(i))
+        null = vt[int((sv > 1e-12 * sv[0]).sum()):]
+        out[i] = np.abs(null @ x[i]).max(initial=0.0)
+    return out
+
+
+def test_rank_deficient_hedges_are_minimal_norm():
+    # node 12 (k = 2, rank 1): pseudo-inverse Newton steps inverted the
+    # rounding noise of its covariance and left theta a component of 497
+    # outside the span of the increments
+    tree = random_tree(3, (2, 4), 2, seed=28)
+    claim = random_claim(tree, seed=29)
+    assert np.linalg.matrix_rank(tree.increments(12)) == 1
+    theta = indifference_surface(tree, claim, 8.0).strategy
+    lam = dual_surface(tree, claim, 8.0).claim_leg.multipliers
+    for x in (theta, lam):
+        bound = 1e-12 * np.maximum(1.0, np.abs(x).max(axis=1))
+        assert np.all(_off_span(tree, x) <= bound)
+
+
 def test_translation_exact(tree11, call11):
     res0 = indifference_surface(tree11, call11, 2.0)
     shifted = ClaimSpec(values=call11.values + 0.37)
