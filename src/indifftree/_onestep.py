@@ -178,7 +178,7 @@ def lse_newton(a, ds, lam0=None, *, newton_tol=1e-12,
 
     Parameters
     ----------
-    a : (m, k) offsets.
+    a : (m, k) offsets; a padded child has offset -inf and zero increments.
     ds : (m, k, d) increments.
     lam0 : optional (m, d) start.
     newton_tol : tolerance on the gradient E_w[ds], scaled per row by
@@ -231,27 +231,37 @@ def lse_newton(a, ds, lam0=None, *, newton_tol=1e-12,
     lam, w, lse, _, _, resid = (x.T for x in state)  # back to rows first
     above = np.flatnonzero(resid > tol_row)
     if above.size:  # martingale_part costs ~75 us even on zero rows
-        rows, *certified = _certify(a, ds, w, above, tol_row, newton_tol)
-        w[rows], lam[rows], lse[rows], resid[rows] = certified
-    deg = _minimal_norm(ds, ds_t, lam)
+        for kk, rows in _widths(a, above):
+            rows, *cert = _certify(a[:, :kk], ds[:, :kk], w[:, :kk], rows, tol_row, newton_tol)
+            w[rows, :kk], lam[rows], lse[rows], resid[rows] = cert
+    deg = _minimal_norm(a, ds, ds_t, lam)
     return LseSolution(w, lam, lse, iters, resid, resid > tol_row, deg)
 
 
-def _minimal_norm(ds, ds_t, lam):
+def _widths(a, rows):
+    """[(k, rows with k real children)]: SVDs see no padded child."""
+    k = a.shape[1] - np.isneginf(a[rows]).sum(axis=1)
+    return [(j, rows[k == j]) for j in np.flatnonzero(np.bincount(k))]
+
+
+def _minimal_norm(a, ds, ds_t, lam):
     """Flag the rows whose increments do not span the asset space and drop,
     in place, the part of their lam off the increments' row space: the
     pseudo-inverse Newton steps invert rounding noise there.  ``ds_t`` is
-    ds children-major."""
-    if ds_t.shape[0] == 1:
+    ds children-major; the SVDs run per width, on a row's real children."""
+    if ds.shape[2] == 1:
         deg = ~ds_t[0].any(axis=0)
         lam[deg] = 0.0
         return deg
-    deg = _is_degenerate(ds)
-    if deg.any():  # singular vectors only for the flagged rows
-        _, sv, vt = np.linalg.svd(ds[deg], full_matrices=False)
-        basis = vt * (sv > 1e-12 * np.maximum(sv[:, :1], 1e-300))[:, :, None]
-        coef = (basis * lam[deg][:, None, :]).sum(axis=2)
-        lam[deg] = (basis * coef[:, :, None]).sum(axis=1)
+    deg = np.zeros(lam.shape[0], dtype=bool)
+    for k, rows in _widths(a, np.arange(deg.size)):
+        deg[rows] = flag = _is_degenerate(ds[rows, :k])
+        if flag.any():  # singular vectors only for the flagged rows
+            rows = rows[flag]
+            _, sv, vt = np.linalg.svd(ds[rows, :k], full_matrices=False)
+            basis = vt * (sv > 1e-12 * np.maximum(sv[:, :1], 1e-300))[:, :, None]
+            coef = (basis * lam[rows][:, None, :]).sum(axis=2)
+            lam[rows] = (basis * coef[:, :, None]).sum(axis=1)
     return deg
 
 
@@ -294,30 +304,25 @@ def martingale_part(w, ds):
     return q, np.abs(np.einsum("mk,mkd->md", q, ds)).max(axis=1)
 
 
-def group_rows(x, nb):
-    """Tile a sweep group's array over a batch axis: (m, ...) -> (nb * m, ...)."""
-    return np.broadcast_to(x, (nb, *x.shape)).reshape(nb * x.shape[0], *x.shape[1:])
-
-
-def unsolved_error(route, sol, ds, where):
+def unsolved_error(route, sol, a, ds, where):
     """The error for the first row ``sol`` left unsolved; ``where(r)``
     names row r in the message.
 
-    On the entropic route a row without a strictly positive martingale
-    kernel is an arbitrage, not a solver failure.
+    On the entropic route a row whose real children carry no strictly
+    positive martingale kernel is an arbitrage, not a solver failure.
     """
     r = int(np.flatnonzero(sol.failed)[0])
-    if route == "entropic" and relint_witness(ds[r]) is None:
+    if route == "entropic" and relint_witness(ds[r][~np.isneginf(a[r])]) is None:
         return NoArbitrageViolated(
             f"no strictly positive martingale kernel exists at {where(r)}")
     return NewtonConvergenceError(
         f"{route} Newton stalled at residual {sol.residual[r]:.3e} at {where(r)}")
 
 
-def sweep_error(route, sol, ds, nodes, t, alphas=None):
-    """The error for the first unsolved row of a sweep's group call.
+def sweep_error(route, sol, a, ds, nodes, t, alphas=None):
+    """The error for the first unsolved row of a sweep's slice call.
 
-    Rows are batch-major over the group's ``nodes``; the message names
+    Rows are batch-major over the slice's ``nodes``; the message names
     the tree node, the time slice and, when known, the row's alpha.
     """
     def where(r):
@@ -325,7 +330,7 @@ def sweep_error(route, sol, ds, nodes, t, alphas=None):
         alpha = "" if alphas is None else f", alpha={float(alphas[b])!r}"
         return f"node {int(nodes[j])} (slice {t}{alpha})"
 
-    return unsolved_error(route, sol, ds, where)
+    return unsolved_error(route, sol, a, ds, where)
 
 
 def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12) -> BatchResult:
@@ -346,7 +351,7 @@ def entropic_projection_batch(logp, ds, cost, *, newton_tol=1e-12) -> BatchResul
     a = np.asarray(logp, dtype=np.float64) - np.asarray(cost, dtype=np.float64)
     sol = lse_newton(a, ds, newton_tol=newton_tol)
     if sol.failed.any():
-        raise unsolved_error("entropic", sol, ds, lambda r: f"batch row {r}")
+        raise unsolved_error("entropic", sol, a, ds, lambda r: f"batch row {r}")
     return BatchResult(sol.w, sol.lam, -sol.lse, sol.iterations, sol.residual,
                        sol.degenerate)
 
@@ -362,7 +367,7 @@ def exp_min_batch(logq, ds, cont, alpha, *, newton_tol=1e-12) -> BatchResult:
     a = np.asarray(logq, dtype=np.float64) + alpha * np.asarray(cont, dtype=np.float64)
     sol = lse_newton(a, ds, newton_tol=newton_tol)
     if sol.failed.any():
-        raise unsolved_error("primal", sol, ds, lambda r: f"batch row {r} (alpha={alpha})")
+        raise unsolved_error("primal", sol, a, ds, lambda r: f"batch row {r} (alpha={alpha})")
     return BatchResult(sol.w, -sol.lam / alpha, sol.lse / alpha, sol.iterations,
                        sol.residual)
 

@@ -10,7 +10,8 @@ Exit codes.  Every error type in ``errors.py`` maps to one of them and
 is reported as one stderr line, never as a traceback::
 
     0  all checks within tolerance
-    1  configuration error                    ConfigError
+    1  configuration error, also a tree over  ConfigError
+       NODE_BUDGET = 1,000,000 node prices
     2  check failure (the JSON carries the    NoArbitrageViolated,
        worst offender) or arbitrage           NonMartingaleKernel
     3  numerical or internal failure          NewtonConvergenceError,
@@ -78,6 +79,7 @@ def _positive_finite(x) -> bool:
 
 
 _TOLERANCE_NAMES = {f.name for f in fields(Tolerances)}
+NODE_BUDGET = 1_000_000  # node prices (nodes x assets) a command may build
 # each config field's test and what the error says it must be
 _FIELDS = {
     "command": (lambda x: isinstance(x, str), "a string"),
@@ -160,10 +162,23 @@ def _write_artifacts(cfg: RunConfig, rows, header, summary):
         fh.write("\n")
 
 
+def _check_size(spec: dict):
+    """Refuse a random or lattice spec over ``NODE_BUDGET`` before it is built."""
+    if spec.get("kind") in ("random", "lattice"):
+        rand = spec["kind"] == "random"
+        k = spec.get("branching", 3) if rand else 2 + (spec.get("model") == "trinomial")
+        k, assets = int(np.max(k)), int(spec.get("assets", 1)) if rand else 1
+        # 1 + k + ... + k^depth nodes; at depth 64 any k >= 2 is over budget
+        depth = min(int(spec["depth" if rand else "steps"]), 64)
+        if k >= 2 and assets * sum(k ** t for t in range(depth + 1)) > NODE_BUDGET:
+            raise ValueError(f"depth, branching and assets give over {NODE_BUDGET:,} node prices")
+
+
 def _build_tree(spec: dict, tol: Tolerances):
     try:
+        _check_size(spec)
         return build_tree(spec, tol=tol)
-    except (KeyError, TreeStructureError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TreeStructureError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad tree spec: {exc}") from None
 
 

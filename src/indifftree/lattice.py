@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._onestep import WITNESS_FLOOR, _is_degenerate, lse_newton, martingale_part, relint_witness
+from ._onestep import (WITNESS_FLOOR, _is_degenerate, _widths, lse_newton, martingale_part,
+                       relint_witness)
 from .errors import NoArbitrageViolated, StoppingRuleError, TreeStructureError
 from .tolerances import DEFAULT, Tolerances
 
@@ -77,7 +78,7 @@ class EventTree:
     :meth:`forward` accumulates along paths from the root,
     :meth:`reduce_children` and :meth:`backward` take one-step and
     recursive conditional expectations from the horizon, and
-    :meth:`groups` feeds the batched one-step solvers.  Per-node arrays
+    :meth:`layouts` feeds the batched one-step solvers.  Per-node arrays
     are indexed by node; a per-edge quantity sits at the edge's child.
     """
 
@@ -144,6 +145,7 @@ class EventTree:
         # contiguous [start, stop) of each time slice
         bounds = np.searchsorted(times, np.arange(horizon + 2))
         self._slice_bounds = _freeze(bounds)
+        self._layouts: list | None = None
         self._groups: list | None = None
         self._degenerate: int | None = None
         self._zero_legs: dict = {}  # Tolerances -> zero-cost EntropyResult, filled by measures
@@ -170,24 +172,29 @@ class EventTree:
         """Price increments to the children of node ``i``, shape (k, d)."""
         return self.dprice[self.children_of(i)]
 
-    def groups(self):
-        """Slice-and-branching groups for vectorized backward sweeps.
-
-        Returns a list over t = 0..horizon-1 of dicts mapping branching
-        count k to ``(nodes (m,), children (m, k))`` index arrays.
-        """
-        if self._groups is None:
-            out = []
+    def layouts(self):
+        """Per slice t < horizon, ``(nodes, children (m, k_max), pad)`` for one
+        kernel call; ``pad`` masks the slots past a node's children (they point
+        at the root, increment 0), None where the slice's branching is uniform."""
+        if self._layouts is None:
+            self._layouts = []
             for t in range(self.horizon):
                 nodes = self.slice_nodes(t)
-                byk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                counts = self.child_count[nodes]
-                for k in sorted(set(counts.tolist())):  # np.unique imports numpy.ma
-                    sel = nodes[counts == k]
-                    ch = sel[:, None] * 0 + self.child_start[sel][:, None] + np.arange(k)[None, :]
-                    byk[k] = (sel, ch)
-                out.append(byk)
-            self._groups = out
+                counts = self.child_count[nodes][:, None]
+                slots = np.arange(counts.max())
+                ch = self.child_start[nodes][:, None] + slots
+                pad = slots >= counts if counts.min() < slots.size else None
+                self._layouts.append((nodes, ch if pad is None else np.where(pad, 0, ch), pad))
+        return self._layouts
+
+    def groups(self):
+        """The layouts split by branching: per slice, {k: (nodes, children (m, k))}."""
+        if self._groups is None:
+            self._groups = []
+            for nodes, ch, _ in self.layouts():
+                counts = self.child_count[nodes]  # np.unique would import numpy.ma
+                self._groups.append({k: (nodes[counts == k], ch[counts == k, :k])
+                                     for k in sorted(set(counts.tolist()))})
         return self._groups
 
     @property
@@ -501,29 +508,30 @@ def validate_no_arbitrage(tree: EventTree) -> NoArbitrageReport:
 
     A node is sound iff zero lies in the relative interior of the convex
     hull of its child price increments, i.e. iff it carries a strictly
-    positive martingale kernel.  Each (slice, k) group is one entropic
-    kernel call on log p and the increments scaled by max(1, |ds|_inf).
-    Its converged weights, moved onto the martingale kernels, certify a
-    node when all exceed ``WITNESS_FLOOR``; only the other nodes solve
-    the LP (importing scipy).  Sound random trees converge within 17
-    Newton steps, so the kernel gets 30.  The thresholds are fixed (drift
-    1e-12, ``WITNESS_FLOOR``, the LP's 1e-11), so configured tolerances do
-    not apply to this scan.
+    positive martingale kernel.  Each slice is one entropic kernel call,
+    padded as the sweeps are, on log p and the increments scaled by
+    max(1, |ds|_inf).  A node's converged weights, moved onto the
+    martingale kernels, certify it when all exceed ``WITNESS_FLOOR``;
+    only the other nodes solve the LP (importing scipy).  Sound random
+    trees converge within 17 Newton steps, so the kernel gets 30.  The
+    thresholds are fixed (drift 1e-12, ``WITNESS_FLOOR``, the LP's 1e-11),
+    so configured tolerances do not apply to this scan.
     """
     node_ok = np.ones(tree.n_nodes, dtype=bool)
     witness: list = [None] * tree.n_nodes
     logp = np.log(tree.edge_prob)
     undecided = [np.zeros(0, dtype=np.int64)]
-    for byk in tree.groups():
-        for nodes, ch in byk.values():
-            ds = tree.dprice[ch]
-            ds = ds / np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))[:, None, None]
-            sol = lse_newton(logp[ch], ds, max_iter=30)
-            q, drift = martingale_part(sol.w, ds)
-            ok = ~sol.failed & (drift <= 1e-12) & (q.min(axis=1) > WITNESS_FLOOR)
-            for i, w in zip(nodes[ok].tolist(), q[ok]):
+    for nodes, ch, pad in tree.layouts():
+        ds = tree.dprice[ch]
+        ds = ds / np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))[:, None, None]
+        a = logp[ch] if pad is None else np.where(pad, -np.inf, logp[ch])
+        sol = lse_newton(a, ds, max_iter=30)
+        for k, rows in _widths(a, np.arange(nodes.size)):
+            q, drift = martingale_part(sol.w[rows, :k], ds[rows, :k])
+            ok = ~sol.failed[rows] & (drift <= 1e-12) & (q.min(axis=1) > WITNESS_FLOOR)
+            for i, w in zip(nodes[rows[ok]].tolist(), q[ok]):
                 witness[i] = w
-            undecided.append(nodes[~ok])
+            undecided.append(nodes[rows[~ok]])
     lp_nodes = np.sort(np.concatenate(undecided))
     for i in lp_nodes.tolist():
         witness[i] = relint_witness(tree.increments(i))

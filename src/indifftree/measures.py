@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._onestep import entropic_projection_batch, group_rows, lse_newton, sweep_error
+from ._onestep import entropic_projection_batch, lse_newton, sweep_error
 from .errors import NonMartingaleKernel, TreeStructureError
 from .lattice import ClaimSpec, EventTree, gains
 from .tolerances import DEFAULT, Tolerances
@@ -159,15 +159,16 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     """Backward entropic recursion for a batch of terminal-cost rows, the
     package's one Newton backward sweep.
 
-    ``costs`` is (B, n_term); every (slice, k) group of the tree is one
-    kernel call over its B * m rows, ``J = -min_lam lse(logp - J_child +
-    lam . dS)`` with ``logp`` the reference log-kernels (default: the
-    tree's) and ``lam0`` an optional (B, n, d) warm start.  The primal
-    hedge is this recursion under Q^E with cost ``-alpha B`` (J = -alpha C,
-    lam = -alpha theta).  ``route`` and ``alphas`` (B,), when given, only
-    label rows in errors: every route accepts rows as :func:`lse_newton` does.
-    Returns ``(J (B, n), lam (B, n, d), q_edge (B, n), diag)``, diag
-    holding ``iterations`` and ``max_residual`` (B,).
+    ``costs`` is (B, n_term); every slice of the tree is one kernel call over
+    its B * m rows, ``J = -min_lam lse(logp - J_child + lam . dS)`` with
+    ``logp`` the reference log-kernels (default: the tree's) and ``lam0`` an
+    optional (B, n, d) warm start.  The primal hedge is this recursion under
+    Q^E with cost ``-alpha B`` (J = -alpha C, lam = -alpha theta).  ``route``
+    and ``alphas`` (B,), when given, only label rows in errors: every route
+    accepts rows as :func:`lse_newton` does.  A mixed slice is padded
+    (:meth:`EventTree.layouts`): a padded child has offset -inf and zero
+    increments.  Returns ``(J (B, n), lam (B, n, d), q_edge (B, n), diag)``,
+    diag holding ``iterations`` and ``max_residual`` (B,).
     """
     costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
     nb = costs.shape[0]
@@ -178,25 +179,26 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     value[:, tree.terminal_nodes] = costs
     lam = np.zeros((nb, n, d))
     q_edge = np.zeros((nb, n))
-    q_edge[:, 0] = 1.0
     iterations = np.zeros(nb, dtype=np.int64)
     max_resid = np.zeros(nb)
     logp = np.log(tree.edge_prob) if logp is None else logp
-    groups = tree.groups()
     for t in range(tree.horizon - 1, -1, -1):
-        for nodes, ch in groups[t].values():
-            m, k = ch.shape
-            rows = group_rows(tree.dprice[ch], nb)
-            sol = lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
-                             None if lam0 is None else lam0[:, nodes].reshape(nb * m, d),
-                             newton_tol=tol.newton)
-            if sol.failed.any():
-                raise sweep_error(route, sol, rows, nodes, t, alphas)
-            value[:, nodes] = -sol.lse.reshape(nb, m)
-            lam[:, nodes] = sol.lam.reshape(nb, m, d)
-            q_edge[:, ch] = sol.w.reshape(nb, m, k)
-            iterations += sol.iterations.reshape(nb, m).sum(axis=1)
-            np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
+        nodes, ch, pad = tree.layouts()[t]
+        m, k = ch.shape
+        rows = np.broadcast_to(tree.dprice[ch], (nb, m, k, d)).reshape(nb * m, k, d)
+        a = (logp[ch] - value[:, ch]).reshape(nb * m, k)
+        if pad is not None:
+            a.reshape(nb, m, k)[:, pad] = -np.inf  # through a view, every batch row
+        sol = lse_newton(a, rows, None if lam0 is None else lam0[:, nodes].reshape(nb * m, d),
+                         newton_tol=tol.newton)
+        if sol.failed.any():
+            raise sweep_error(route, sol, a, rows, nodes, t, alphas)
+        value[:, nodes] = -sol.lse.reshape(nb, m)
+        lam[:, nodes] = sol.lam.reshape(nb, m, d)
+        q_edge[:, ch] = sol.w.reshape(nb, m, k)
+        iterations += sol.iterations.reshape(nb, m).sum(axis=1)
+        np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
+    q_edge[:, 0] = 1.0  # after the sweep: padded children write the root's slot
     diag = {"iterations": iterations, "max_residual": max_resid}
     return value, lam, q_edge, diag
 

@@ -116,6 +116,109 @@ def test_kernel_rows_are_independent_bit_for_bit(monkeypatch, k, d):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (r, name)
 
 
+def _padded(a, ds, width):
+    """Rows padded to ``width`` children: offsets -inf, increments 0."""
+    m, k, d = ds.shape
+    pa = np.full((m, width), -np.inf)
+    pds = np.zeros((m, width, d))
+    pa[:, :k], pds[:, :k] = a, ds
+    return pa, pds
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_padded_kernel_rows_keep_their_bits(monkeypatch, k, d):
+    # rows padded to a wider slice, next to full-width rows in the same
+    # call, return their unpadded solutions bit for bit and weight exactly
+    # 0.0 on the padded children; the second run stops Newton after two
+    # steps, so that _certify accepts rows
+    from indifftree import _onestep
+
+    seen, accepted = set(), []
+    halve, newton_step, certify = _onestep._halve, _onestep._newton_step, _onestep._certify
+
+    def halving(*args):
+        seen.add("halving")
+        return halve(*args)
+
+    def levenberg(wds, ds, mean, mu, active):
+        if np.any(mu > 0):
+            seen.add("levenberg")
+        return newton_step(wds, ds, mean, mu, active)
+
+    def certifying(*args):
+        out = certify(*args)
+        accepted.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(_onestep, "_halve", halving)
+    monkeypatch.setattr(_onestep, "_newton_step", levenberg)
+    monkeypatch.setattr(_onestep, "_certify", certifying)
+    rng = np.random.default_rng(100 * k + d)
+    a, ds = _kernel_rows(rng, 300, k, d)
+    a_full, ds_full = _kernel_rows(rng, 40, 10, d)
+    pa, pds = _padded(a, ds, 10)
+    pa, pds = np.concatenate([pa, a_full]), np.concatenate([pds, ds_full])
+    fields = ("lam", "lse", "iterations", "residual", "failed", "degenerate")
+    for kwargs in ({}, {"max_iter": 2, "newton_tol": 1e-6}):
+        accepted.clear()
+        got = _onestep.lse_newton(pa, pds, **kwargs)
+        wants = [(_onestep.lse_newton(a, ds, **kwargs), slice(0, 300), k),
+                 (_onestep.lse_newton(a_full, ds_full, **kwargs), slice(300, 340), 10)]
+        for want, rows, width in wants:
+            assert got.w[rows, :width].tobytes() == want.w.tobytes()
+            pads = got.w[rows, width:]
+            assert not pads.any() and not np.signbit(pads).any()  # exactly +0.0
+            for name in fields:
+                assert getattr(got, name)[rows].tobytes() == getattr(want, name).tobytes(), name
+        assert got.failed[5] and accepted
+    assert seen == {"halving", "levenberg"}
+    assert sum(accepted) > 0
+
+
+def oracle_entropic_sweep(tree, costs, tol, logp=None):
+    """The sweep as one kernel call per (slice, k) group: no padding."""
+    costs = np.atleast_2d(costs)
+    nb, n, d = costs.shape[0], tree.n_nodes, tree.n_assets
+    value = np.zeros((nb, n))
+    value[:, tree.terminal_nodes] = costs
+    lam, q_edge = np.zeros((nb, n, d)), np.zeros((nb, n))
+    q_edge[:, 0] = 1.0
+    iterations, max_resid = np.zeros(nb, dtype=np.int64), np.zeros(nb)
+    logp = np.log(tree.edge_prob) if logp is None else logp
+    groups = tree.groups()
+    for t in range(tree.horizon - 1, -1, -1):
+        for nodes, ch in groups[t].values():
+            m, k = ch.shape
+            rows = np.broadcast_to(tree.dprice[ch], (nb, m, k, d)).reshape(nb * m, k, d)
+            sol = measures.lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
+                                      newton_tol=tol.newton)
+            assert not sol.failed.any()
+            value[:, nodes] = -sol.lse.reshape(nb, m)
+            lam[:, nodes] = sol.lam.reshape(nb, m, d)
+            q_edge[:, ch] = sol.w.reshape(nb, m, k)
+            iterations += sol.iterations.reshape(nb, m).sum(axis=1)
+            np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
+    return value, lam, q_edge, {"iterations": iterations, "max_residual": max_resid}
+
+
+@pytest.mark.parametrize("shape", [(3, (2, 4), 1), (3, (2, 4), 2), (3, (2, 4), 3),
+                                   (5, (2, 4), 1), (3, (2, 7), 2), (2, (3, 9), 3)])
+def test_padded_sweep_matches_group_loop_oracle(shape):
+    tree = random_tree(*shape, seed=7)
+    assert any(pad is not None for _, _, pad in tree.layouts())
+    measure = minimal_entropy_measure(tree).measure
+    claims = _claims(tree, len(ALPHAS), 500)
+    costs = np.vstack([np.zeros(claims.shape[1]), -np.asarray(ALPHAS)[:, None] * claims])
+    for logp in (None, np.log(measure.edge_prob)):  # the dual and the primal route
+        got = _entropic_sweep(tree, costs, DEFAULT, logp=logp)
+        want = oracle_entropic_sweep(tree, costs, DEFAULT, logp=logp)
+        for x, y in zip(got[:3], want[:3]):
+            assert x.tobytes() == y.tobytes()
+        for name in want[3]:
+            assert got[3][name].tobytes() == want[3][name].tobytes(), name
+
+
 def test_primal_sweep_returns_the_claim_exactly_at_the_horizon():
     # the sweep runs on J = -alpha C, and -(-alpha B) / alpha can miss B
     tree = random_tree(3, 3, 1, seed=7)
@@ -350,9 +453,9 @@ def test_warm_dual_surface_sweeps_only_the_claim_leg(monkeypatch):
 
     monkeypatch.setattr(measures, "lse_newton", counted)
     dual_surface(tree, claim, 1.0)
-    groups = tree.groups()
-    assert rows == [nodes.size for t in range(tree.horizon - 1, -1, -1)
-                    for nodes, _ in groups[t].values()]
+    # one call per non-terminal slice, from the horizon down, with the m
+    # rows of the claim leg and not the 2m of both legs
+    assert rows == [tree.slice_nodes(t).size for t in range(tree.horizon - 1, -1, -1)]
 
 
 def test_dual_surface_equals_the_stacked_two_leg_sweep():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,26 @@ def test_commands_exit_zero(tmp_path, command):
     stem = f"{command}-11"
     assert (tmp_path / f"{stem}.csv").exists()
     assert (tmp_path / f"{stem}.json").exists()
+
+
+def test_oversized_tree_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
+    # 3^25 nodes would take weeks to draw: the node budget is checked from
+    # the spec's shape fields, and the builder must never be reached
+    from indifftree import cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("the tree was built")
+
+    monkeypatch.setattr(cli, "build_tree", build)
+    config = tmp_path / "lattice.json"
+    config.write_text(json.dumps({"tree": {"kind": "lattice", "steps": 40}}))
+    start = time.perf_counter()
+    assert run(tmp_path, "validate", "--depth", "25") == 1
+    assert run(tmp_path, "price", "--config", str(config)) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "indifftree: config error: bad tree spec: depth, branching and assets give over "
+        "1,000,000 node prices"] * 2
 
 
 def test_artifacts_bitwise_deterministic(tmp_path):
