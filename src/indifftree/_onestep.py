@@ -1,8 +1,7 @@
 """One batched damped-Newton kernel for the two one-step problems.
 
 Both problems minimise a log-sum-exp over a node's children, solved
-simultaneously for a batch of rows (arrays shaped (m, k) over m rows
-with k children each, increments (m, k, d)):
+simultaneously for a batch of m rows of k children each:
 
 * entropic tilt — minimize sum_i q_i (log(q_i / p_i) + cost_i) over
   strictly positive martingale kernels q.  The optimizer is the tilt
@@ -14,12 +13,15 @@ with k children each, increments (m, k, d)):
   offsets log q + a cont, multiplier lam = -a theta and value lse / a,
   so the risk aversion is per-row data the kernel never sees.
 
-Inside the kernel, arrays are children-major (a (k, m), ds (d, k, m),
-lam (d, m)), so sums and maxima over children run along a leading axis;
-child sums add one child after the other.  Every Newton iteration steps
-all rows: converged and stalled rows take a zero step, which re-evaluates
-to their own bits, and only rows whose full step fails are gathered for
-step halving.  All exponentials run through log-sum-exp with max shifts.
+The kernel, :func:`lse_newton_t`, takes children-major arrays (a (k, m),
+ds (d, k, m), lam (d, m)), so sums and maxima over children run along a
+leading axis, adding one child after the other.  A sweep takes ds and the
+per-row inputs it fixes (scales, degenerate flags) from the tree's cached
+slice layouts; :func:`lse_newton` derives them for rows-major callers.
+Every Newton iteration steps all rows: converged and stalled rows take a
+zero step, which re-evaluates to their own bits, and only rows whose full
+step fails are gathered for step halving.  All exponentials run through
+log-sum-exp with max shifts.
 
 Singular Newton systems fall back to pseudo-inverse steps.  Those invert
 rounding noise in the null direction, so rank-deficient rows drop the
@@ -57,7 +59,7 @@ class BatchResult:
 
 @dataclass
 class LseSolution:
-    """Row-wise minimisers of lse(a + ds . lam), see :func:`lse_newton`."""
+    """Row-wise minimisers of lse(a + ds . lam), see :func:`lse_newton_t`."""
 
     w: np.ndarray          # (m, k) softmax weights at the optimum
     lam: np.ndarray        # (m, d) multipliers
@@ -68,15 +70,12 @@ class LseSolution:
     degenerate: np.ndarray  # (m,) bool, increments rank deficient
 
 
-def _children_major(a, ds):
-    """(m, k) offsets and (m, k, d) increments as contiguous (k, m), (d, k, m)."""
-    return np.ascontiguousarray(a.T), np.ascontiguousarray(ds.transpose(2, 1, 0))
-
-
 def _child_sum(x):
-    """Sum over the children axis -2, one child after the other: numpy sums
-    a lone column of 8 or more pairwise, which would tie a row's bits to
-    its batch."""
+    """Sum over the children axis -2, one child after the other: numpy adds
+    up to 7 terms in order (from +0.0), but a lone column of 8 or more
+    pairwise, which would tie a row's bits to its batch."""
+    if x.shape[-2] < 8:
+        return np.add.reduce(x, axis=-2)
     s = x[..., 0, :].copy()
     for i in range(1, x.shape[-2]):
         s += x[..., i, :]
@@ -90,30 +89,34 @@ def _evaluate(a, ds, lam):
     for j in range(1, lam.shape[0]):
         logits += ds[j] * lam[j]
     logits += a
-    mx = logits.max(axis=0)
+    mx = np.maximum.reduce(logits, axis=0)
     logits -= mx
     w = np.exp(logits, out=logits)
     z = _child_sum(w)
     w /= z
     wds = w * ds
     mean = _child_sum(wds)
-    return lam, w, np.log(z) + mx, wds, mean, np.abs(mean).max(axis=0)
+    resid = np.abs(mean[0]) if mean.shape[0] == 1 else np.maximum.reduce(np.abs(mean), axis=0)
+    return lam, w, np.log(z) + mx, wds, mean, resid
 
 
 def _newton_step(wds, ds, mean, mu, active):
     """-pinv(cov + mu I) @ mean on the active rows, zero on the others, with
-    cov = E_w[ds ds^T] - mean mean^T and ``mu`` the per-row Levenberg ridge."""
+    cov = E_w[ds ds^T] - mean mean^T and ``mu`` the per-row Levenberg ridge or None."""
     d = mean.shape[0]
     if d == 1:
-        c = _child_sum(wds[0] * ds[0]) - mean[0] * mean[0] + mu
-        return np.divide(-mean, c, out=np.zeros_like(mean), where=active & (c > 0))
+        c = _child_sum(wds[0] * ds[0]) - mean[0] * mean[0]
+        if mu is not None:
+            c += mu
+        return np.divide(-mean, c, out=np.zeros(mean.shape), where=active & (c > 0))
     cov = _child_sum(wds[:, None] * ds) - mean[:, None] * mean  # (d, d, m)
-    rows = np.flatnonzero(active)
-    ev, u = np.linalg.eigh(cov[:, :, rows].transpose(2, 0, 1) + mu[rows, None, None] * np.eye(d))
+    rows = active.nonzero()[0]
+    ridge = 0.0 if mu is None else mu[rows, None, None]
+    ev, u = np.linalg.eigh(cov[:, :, rows].transpose(2, 0, 1) + ridge * np.eye(d))
     keep = np.abs(ev) > 1e-15 * np.abs(ev).max(axis=1, keepdims=True)  # pinv's cut
     c = np.divide((u * mean[:, rows].T[:, :, None]).sum(axis=1), ev,
-                  out=np.zeros_like(ev), where=keep)
-    step = np.zeros_like(mean)
+                  out=np.zeros(ev.shape), where=keep)
+    step = np.zeros(mean.shape)
     step[:, rows] = -(u * c[:, None, :]).sum(axis=2).T
     return step
 
@@ -140,14 +143,28 @@ def _halve(a, ds, state, rows, step):
     return rows
 
 
-def _is_degenerate(ds):
-    """Rows whose increments do not span the full asset space."""
-    m, k, d = ds.shape
-    if d == 1:
-        return np.all(ds[:, :, 0] == 0.0, axis=1)
-    sv = np.linalg.svd(ds, compute_uv=False)
-    scale = np.maximum(sv[:, 0], 1e-300)
-    return sv[:, -1] <= 1e-12 * scale
+def _counts(a):
+    """Real children per row of children-major offsets (padded ones are -inf)."""
+    return a.shape[0] - np.count_nonzero(np.isneginf(a), axis=0)
+
+
+def _widths(counts, rows):
+    """[(k, the ``rows`` whose ``counts`` is k)]: SVDs see no padded child."""
+    return [(k, rows[counts == k]) for k in np.flatnonzero(np.bincount(counts))]
+
+
+def row_inputs(ds, counts):
+    """Per-row inputs fixed by children-major increments ds (d, k, m): scales
+    max(1, |ds|_inf) and flags of the rows whose ``counts`` real children do
+    not span the asset space (d = 1: all zero; else one SVD per width)."""
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(ds), axis=(0, 1)))
+    if ds.shape[0] == 1:
+        return scale, ~ds[0].any(axis=0)
+    deg = np.zeros(scale.size, dtype=bool)
+    for k, rows in _widths(counts, np.arange(scale.size)):
+        sv = np.linalg.svd(ds[:, :k, rows].T, compute_uv=False)
+        deg[rows] = sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1e-300)
+    return scale, deg
 
 
 def relint_witness(ds_row):
@@ -172,97 +189,93 @@ def relint_witness(ds_row):
     return q[0] if drift[0] <= 1e-12 and q.min() > 0.0 else None
 
 
-def lse_newton(a, ds, lam0=None, *, newton_tol=1e-12,
-               max_iter=NEWTON_MAX_ITER) -> LseSolution:
+def lse_newton(a, ds, lam0=None, **options) -> LseSolution:
+    """:func:`lse_newton_t` (and its ``newton_tol``, ``max_iter``) on rows-major
+    offsets a (m, k), increments ds (m, k, d) and start lam0 (m, d)."""
+    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64).T)
+    ds = np.ascontiguousarray(np.asarray(ds, dtype=np.float64).T)
+    lam = None if lam0 is None else np.array(np.transpose(lam0), dtype=np.float64, order="C")
+    return lse_newton_t(a, ds, *row_inputs(ds, _counts(a)), lam, **options)
+
+
+def lse_newton_t(a, ds, scale, deg, lam=None, *, newton_tol=1e-12,
+                 max_iter=NEWTON_MAX_ITER) -> LseSolution:
     """Minimise lse(a + ds . lam) over lam, row by row, by damped Newton.
 
     Parameters
     ----------
-    a : (m, k) offsets; a padded child has offset -inf and zero increments.
-    ds : (m, k, d) increments.
-    lam0 : optional (m, d) start.
+    a : (k, m) offsets; a padded child has offset -inf and zero increments.
+    ds, scale, deg : (d, k, m) increments and their (m,) :func:`row_inputs`, read only.
+    lam : optional (d, m) start.
     newton_tol : tolerance on the gradient E_w[ds], scaled per row by
-        max(1, |ds|_inf), and on the relative duality gap of a stalled row.
+        ``scale``, and on the relative duality gap of a stalled row.
 
     A damped step is accepted when it lowers lse, or, inside the
     float-noise envelope of lse, when it lowers the residual, so iterates
     can polish the root without ever jumping to a saturated region.
     Rows left above tolerance pass only if :func:`_certify` does.  Rows
     are independent, bit for bit; unsolved ones are flagged, not raised,
-    so the caller can name them.
+    so the caller can name them.  The solution is rows-major.
     """
-    a = np.asarray(a, dtype=np.float64)
-    ds = np.asarray(ds, dtype=np.float64)
-    m, k, d = ds.shape
-    a_t, ds_t = _children_major(a, ds)
-    lam = np.zeros((d, m)) if lam0 is None else \
-        np.array(np.transpose(lam0), dtype=np.float64, order="C")
-    scale = np.maximum(1.0, np.abs(ds_t).max(axis=(0, 1)))
+    d, _, m = ds.shape
+    lam = np.zeros((d, m)) if lam is None else lam
     tol_row = newton_tol * scale
-    scale2 = scale ** 2
-    state = _evaluate(a_t, ds_t, lam)  # lam, w, lse, wds, mean, resid
+    state = _evaluate(a, ds, lam)  # lam, w, lse, wds, mean, resid
     iters = np.zeros(m, dtype=np.int64)
-    stalled = np.zeros(m, dtype=bool)
-    mu = np.zeros(m)  # Levenberg ridge, in curvature units
+    mu = None  # Levenberg ridge, in curvature units, allocated on first use
 
     for _ in range(max_iter):
         lam, _, lse, wds, mean, resid = state
-        active = (resid > tol_row) & ~stalled
-        if not active.any():
+        active = resid > tol_row
+        if mu is not None:
+            active &= mu <= 1e8 * scale ** 2  # rows past this ridge have stalled
+        if not np.count_nonzero(active):
             break
-        step = _newton_step(wds, ds_t, mean, mu, active)
-        trial = _evaluate(a_t, ds_t, lam + step)
+        step = _newton_step(wds, ds, mean, mu, active)
+        trial = _evaluate(a, ds, lam + step)
         # every row takes its full step, the rows it fails keep their iterate;
         # a zero step (converged, stalled rows) re-evaluates to the same bits
-        rows = np.flatnonzero(active & ~_better(trial[2], trial[5], lse, resid))
+        rows = (active > _better(trial[2], trial[5], lse, resid)).nonzero()[0]
         if rows.size:
             for x, y in zip(trial, state):
                 x[..., rows] = y[..., rows]
-            rows = _halve(a_t, ds_t, trial, rows, step)
-        state, mu_hard = trial, mu[rows]
-        np.multiply(mu, 0.25, out=mu, where=active)
+            rows = _halve(a, ds, trial, rows, step)
+        state = trial
+        if mu is not None:
+            mu_hard = mu[rows]
+            np.multiply(mu, 0.25, out=mu, where=active)
+        elif rows.size:
+            mu, mu_hard = np.zeros(m), 0.0
         if rows.size:
             # rows no damping scale helped: raise the ridge and try again,
             # giving up only deep in the steepest-descent regime
-            mu[rows] = np.where(mu_hard == 0.0, 1e-8 * scale2[rows], mu_hard * 10.0)
-            stalled[rows[mu[rows] > 1e8 * scale2[rows]]] = True
+            mu[rows] = np.where(mu_hard == 0.0, 1e-8 * scale[rows] ** 2, mu_hard * 10.0)
         iters += active
 
     lam, w, lse, _, _, resid = (x.T for x in state)  # back to rows first
-    above = np.flatnonzero(resid > tol_row)
+    above = (resid > tol_row).nonzero()[0]
     if above.size:  # martingale_part costs ~75 us even on zero rows
-        for kk, rows in _widths(a, above):
-            rows, *cert = _certify(a[:, :kk], ds[:, :kk], w[:, :kk], rows, tol_row, newton_tol)
+        a_r, ds_r = np.ascontiguousarray(a.T), np.ascontiguousarray(ds.T)
+        for kk, rows in _widths(_counts(a[:, above]), above):
+            rows, *cert = _certify(a_r[:, :kk], ds_r[:, :kk], w[:, :kk], rows, tol_row, newton_tol)
             w[rows, :kk], lam[rows], lse[rows], resid[rows] = cert
-    deg = _minimal_norm(a, ds, ds_t, lam)
+    _minimal_norm(a, ds, lam, deg)
     return LseSolution(w, lam, lse, iters, resid, resid > tol_row, deg)
 
 
-def _widths(a, rows):
-    """[(k, rows with k real children)]: SVDs see no padded child."""
-    k = a.shape[1] - np.isneginf(a[rows]).sum(axis=1)
-    return [(j, rows[k == j]) for j in np.flatnonzero(np.bincount(k))]
-
-
-def _minimal_norm(a, ds, ds_t, lam):
-    """Flag the rows whose increments do not span the asset space and drop,
-    in place, the part of their lam off the increments' row space: the
-    pseudo-inverse Newton steps invert rounding noise there.  ``ds_t`` is
-    ds children-major; the SVDs run per width, on a row's real children."""
-    if ds.shape[2] == 1:
-        deg = ~ds_t[0].any(axis=0)
-        lam[deg] = 0.0
-        return deg
-    deg = np.zeros(lam.shape[0], dtype=bool)
-    for k, rows in _widths(a, np.arange(deg.size)):
-        deg[rows] = flag = _is_degenerate(ds[rows, :k])
-        if flag.any():  # singular vectors only for the flagged rows
-            rows = rows[flag]
-            _, sv, vt = np.linalg.svd(ds[rows, :k], full_matrices=False)
-            basis = vt * (sv > 1e-12 * np.maximum(sv[:, :1], 1e-300))[:, :, None]
-            coef = (basis * lam[rows][:, None, :]).sum(axis=2)
-            lam[rows] = (basis * coef[:, :, None]).sum(axis=1)
-    return deg
+def _minimal_norm(a, ds, lam, deg):
+    """Drop, in place, the part of the ``deg`` rows' lam (rows-major) off
+    their increments' row space: the pseudo-inverse Newton steps invert
+    rounding noise there.  The SVDs run per width, on a row's real children."""
+    rows = deg.nonzero()[0]
+    if ds.shape[0] == 1 or not rows.size:
+        lam[rows] = 0.0
+        return
+    for k, rows in _widths(_counts(a[:, rows]), rows):
+        _, sv, vt = np.linalg.svd(ds[:, :k, rows].T, full_matrices=False)
+        basis = vt * (sv > 1e-12 * np.maximum(sv[:, :1], 1e-300))[:, :, None]
+        coef = (basis * lam[rows][:, None, :]).sum(axis=2)
+        lam[rows] = (basis * coef[:, :, None]).sum(axis=1)
 
 
 def _certify(a, ds, w, rows, tol_row, newton_tol):
@@ -283,7 +296,7 @@ def _certify(a, ds, w, rows, tol_row, newton_tol):
     aug = np.concatenate([ds, -np.ones_like(ds[:, :, :1])], axis=2)
     x = np.einsum("mjk,mk->mj", np.linalg.pinv(aug), logq_a)
     lam, lse = x[:, :-1], x[:, -1]
-    primal = _evaluate(*_children_major(a, ds), lam.T)[2]
+    primal = _evaluate(a.T, ds.T, lam.T)[2]
     dual = -np.einsum("mk,mk->m", q, logq_a)
     gap = np.maximum(primal, lse) - np.minimum(dual, lse)
     noise = _EPS32 * np.einsum("mkd,md->mk", np.abs(ds), np.abs(lam)).max(axis=1)

@@ -15,12 +15,12 @@ used for step-refinement studies.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._onestep import (WITNESS_FLOOR, _is_degenerate, _widths, lse_newton, martingale_part,
-                       relint_witness)
+from ._onestep import (WITNESS_FLOOR, _widths, lse_newton_t, martingale_part, relint_witness,
+                       row_inputs)
 from .errors import NoArbitrageViolated, StoppingRuleError, TreeStructureError
 from .tolerances import DEFAULT, Tolerances
 
@@ -52,6 +52,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+class SliceLayout(NamedTuple):
+    """A time slice as one children-major kernel call (see ``_onestep``)."""
+
+    nodes: np.ndarray       # (m,) the slice's nodes
+    children: np.ndarray    # (k, m), k the widest node's; padded slots point at the root
+    pad: np.ndarray | None  # (k, m) bool, padded slots; None where branching is uniform
+    ds: np.ndarray          # (d, k, m) increments, 0 on padded slots
+    scale: np.ndarray       # (m,) max(1, |ds|_inf)
+    degenerate: np.ndarray  # (m,) bool, real children's increments rank deficient
 
 
 class EventTree:
@@ -147,7 +158,6 @@ class EventTree:
         self._slice_bounds = _freeze(bounds)
         self._layouts: list | None = None
         self._groups: list | None = None
-        self._degenerate: int | None = None
         self._zero_legs: dict = {}  # Tolerances -> zero-cost EntropyResult, filled by measures
 
     # -- structure access -------------------------------------------------
@@ -172,39 +182,38 @@ class EventTree:
         """Price increments to the children of node ``i``, shape (k, d)."""
         return self.dprice[self.children_of(i)]
 
-    def layouts(self):
-        """Per slice t < horizon, ``(nodes, children (m, k_max), pad)`` for one
-        kernel call; ``pad`` masks the slots past a node's children (they point
-        at the root, increment 0), None where the slice's branching is uniform."""
+    def layouts(self) -> list[SliceLayout]:
+        """One :class:`SliceLayout` per slice t < horizon, built at the first call."""
         if self._layouts is None:
             self._layouts = []
             for t in range(self.horizon):
                 nodes = self.slice_nodes(t)
-                counts = self.child_count[nodes][:, None]
-                slots = np.arange(counts.max())
-                ch = self.child_start[nodes][:, None] + slots
-                pad = slots >= counts if counts.min() < slots.size else None
-                self._layouts.append((nodes, ch if pad is None else np.where(pad, 0, ch), pad))
+                counts = self.child_count[nodes]
+                slots = np.arange(counts.max())[:, None]
+                ch = self.child_start[nodes] + slots
+                pad = _freeze(slots >= counts) if counts.min() < slots.size else None
+                ch = ch if pad is None else np.where(pad, 0, ch)
+                ds = np.ascontiguousarray(self.dprice[ch].transpose(2, 0, 1))
+                self._layouts.append(SliceLayout(
+                    nodes, _freeze(ch), pad, *map(_freeze, (ds, *row_inputs(ds, counts)))))
         return self._layouts
 
     def groups(self):
         """The layouts split by branching: per slice, {k: (nodes, children (m, k))}."""
         if self._groups is None:
             self._groups = []
-            for nodes, ch, _ in self.layouts():
-                counts = self.child_count[nodes]  # np.unique would import numpy.ma
-                self._groups.append({k: (nodes[counts == k], ch[counts == k, :k])
+            for lay in self.layouts():
+                counts = self.child_count[lay.nodes]  # np.unique would import numpy.ma
+                self._groups.append({k: (lay.nodes[counts == k],
+                                         np.ascontiguousarray(lay.children[:k, counts == k].T))
                                      for k in sorted(set(counts.tolist()))})
         return self._groups
 
     @property
     def degenerate_nodes(self) -> int:
         """Number of non-terminal nodes whose increments do not span the
-        asset space (computed once per tree)."""
-        if self._degenerate is None:
-            self._degenerate = sum(int(_is_degenerate(self.dprice[ch]).sum())
-                                   for byk in self.groups() for _, ch in byk.values())
-        return self._degenerate
+        asset space: the sum of the layouts' flags."""
+        return int(sum(np.count_nonzero(lay.degenerate) for lay in self.layouts()))
 
     # -- tree primitives --------------------------------------------------
 
@@ -510,23 +519,24 @@ def validate_no_arbitrage(tree: EventTree) -> NoArbitrageReport:
     hull of its child price increments, i.e. iff it carries a strictly
     positive martingale kernel.  Each slice is one entropic kernel call,
     padded as the sweeps are, on log p and the increments scaled by
-    max(1, |ds|_inf).  A node's converged weights, moved onto the
-    martingale kernels, certify it when all exceed ``WITNESS_FLOOR``;
-    only the other nodes solve the LP (importing scipy).  Sound random
-    trees converge within 17 Newton steps, so the kernel gets 30.  The
-    thresholds are fixed (drift 1e-12, ``WITNESS_FLOOR``, the LP's 1e-11),
-    so configured tolerances do not apply to this scan.
+    max(1, |ds|_inf), whose own scales are 1.0.  A node's converged
+    weights, moved onto the martingale kernels, certify it when all
+    exceed ``WITNESS_FLOOR``; only the other nodes solve the LP (importing
+    scipy).  Sound random trees converge within 17 Newton steps, so the
+    kernel gets 30.  The thresholds are fixed (drift 1e-12,
+    ``WITNESS_FLOOR``, the LP's 1e-11), so configured tolerances do not
+    apply to this scan.
     """
     node_ok = np.ones(tree.n_nodes, dtype=bool)
     witness: list = [None] * tree.n_nodes
     logp = np.log(tree.edge_prob)
     undecided = [np.zeros(0, dtype=np.int64)]
-    for nodes, ch, pad in tree.layouts():
-        ds = tree.dprice[ch]
-        ds = ds / np.maximum(1.0, np.abs(ds).max(axis=(1, 2)))[:, None, None]
-        a = logp[ch] if pad is None else np.where(pad, -np.inf, logp[ch])
-        sol = lse_newton(a, ds, max_iter=30)
-        for k, rows in _widths(a, np.arange(nodes.size)):
+    for lay in tree.layouts():
+        nodes, a, ds = lay.nodes, logp[lay.children], lay.ds / lay.scale
+        a = a if lay.pad is None else np.where(lay.pad, -np.inf, a)
+        sol = lse_newton_t(a, ds, np.ones(nodes.size), lay.degenerate, max_iter=30)
+        ds = np.ascontiguousarray(ds.T)  # rows-major for the witnesses
+        for k, rows in _widths(tree.child_count[nodes], np.arange(nodes.size)):
             q, drift = martingale_part(sol.w[rows, :k], ds[rows, :k])
             ok = ~sol.failed[rows] & (drift <= 1e-12) & (q.min(axis=1) > WITNESS_FLOOR)
             for i, w in zip(nodes[rows[ok]].tolist(), q[ok]):

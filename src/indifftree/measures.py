@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._onestep import entropic_projection_batch, lse_newton, sweep_error
+from ._onestep import entropic_projection_batch, lse_newton_t, sweep_error
 from .errors import NonMartingaleKernel, TreeStructureError
 from .lattice import ClaimSpec, EventTree, gains
 from .tolerances import DEFAULT, Tolerances
@@ -165,7 +165,7 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     optional (B, n, d) warm start.  The primal hedge is this recursion under
     Q^E with cost ``-alpha B`` (J = -alpha C, lam = -alpha theta).  ``route``
     and ``alphas`` (B,), when given, only label rows in errors: every route
-    accepts rows as :func:`lse_newton` does.  A mixed slice is padded
+    accepts rows as :func:`lse_newton_t` does.  A mixed slice is padded
     (:meth:`EventTree.layouts`): a padded child has offset -inf and zero
     increments.  Returns ``(J (B, n), lam (B, n, d), q_edge (B, n), diag)``,
     diag holding ``iterations`` and ``max_residual`` (B,).
@@ -183,19 +183,21 @@ def _entropic_sweep(tree: EventTree, costs: np.ndarray, tol: Tolerances,
     max_resid = np.zeros(nb)
     logp = np.log(tree.edge_prob) if logp is None else logp
     for t in range(tree.horizon - 1, -1, -1):
-        nodes, ch, pad = tree.layouts()[t]
-        m, k = ch.shape
-        rows = np.broadcast_to(tree.dprice[ch], (nb, m, k, d)).reshape(nb * m, k, d)
-        a = (logp[ch] - value[:, ch]).reshape(nb * m, k)
-        if pad is not None:
-            a.reshape(nb, m, k)[:, pad] = -np.inf  # through a view, every batch row
-        sol = lse_newton(a, rows, None if lam0 is None else lam0[:, nodes].reshape(nb * m, d),
-                         newton_tol=tol.newton)
+        lay = tree.layouts()[t]
+        nodes, ch = lay.nodes, lay.children
+        k, m = ch.shape
+        a = logp[ch] - value[:, ch]  # (nb, k, m)
+        if lay.pad is not None:
+            a[:, lay.pad] = -np.inf
+        a = a.swapaxes(0, 1).reshape(k, nb * m)  # batch-major rows
+        fixed = lay[3:] if nb == 1 else [np.tile(x, nb) for x in lay[3:]]  # ds, scale, deg
+        start = None if lam0 is None else lam0[:, nodes].reshape(nb * m, d).T
+        sol = lse_newton_t(a, *fixed, start, newton_tol=tol.newton)
         if sol.failed.any():
-            raise sweep_error(route, sol, a, rows, nodes, t, alphas)
+            raise sweep_error(route, sol, a.T, fixed[0].T, nodes, t, alphas)
         value[:, nodes] = -sol.lse.reshape(nb, m)
         lam[:, nodes] = sol.lam.reshape(nb, m, d)
-        q_edge[:, ch] = sol.w.reshape(nb, m, k)
+        q_edge[:, ch] = sol.w.reshape(nb, m, k).transpose(0, 2, 1)
         iterations += sol.iterations.reshape(nb, m).sum(axis=1)
         np.maximum(max_resid, sol.residual.reshape(nb, m).max(axis=1), out=max_resid)
     q_edge[:, 0] = 1.0  # after the sweep: padded children write the root's slot

@@ -23,6 +23,7 @@ from indifftree import (BsdeSolution, ClaimSpec, arbitrage_bounds_check,
                         small_alpha_sweep, superrep_surface, valuation,
                         verify_entropy_structure)
 from indifftree.errors import NewtonConvergenceError
+from indifftree._onestep import lse_newton
 from indifftree.lattice import EventTree, random_stopping_rule
 from indifftree.measures import _entropic_sweep, _entropy_result
 from indifftree.tolerances import DEFAULT
@@ -95,7 +96,7 @@ def test_kernel_rows_are_independent_bit_for_bit(monkeypatch, k, d):
         return halve(*args)
 
     def levenberg(wds, ds, mean, mu, active):
-        if np.any(mu > 0):
+        if mu is not None and np.any(mu > 0):  # the ridge is allocated on first use
             seen.add("levenberg")
         return newton_step(wds, ds, mean, mu, active)
 
@@ -142,7 +143,7 @@ def test_padded_kernel_rows_keep_their_bits(monkeypatch, k, d):
         return halve(*args)
 
     def levenberg(wds, ds, mean, mu, active):
-        if np.any(mu > 0):
+        if mu is not None and np.any(mu > 0):  # the ridge is allocated on first use
             seen.add("levenberg")
         return newton_step(wds, ds, mean, mu, active)
 
@@ -176,6 +177,45 @@ def test_padded_kernel_rows_keep_their_bits(monkeypatch, k, d):
     assert sum(accepted) > 0
 
 
+def _sequential_sum(x):
+    s = x[..., 0, :].copy()
+    for i in range(1, x.shape[-2]):
+        s += x[..., i, :]
+    return s
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_child_sum_adds_children_in_order(k):
+    # the kernel's child sums must add one child after the other in every
+    # layout it meets: numpy's reduce does so below 8 terms only
+    from indifftree._onestep import _child_sum
+
+    rng = np.random.default_rng(k)
+    for lead in [(1,), (2,), (3,), (2, 2), (3, 3)]:  # (d, k, m) and (d, d, k, m)
+        for m in (1, 2, 40):
+            x = rng.normal(size=lead + (k, m)) * 10.0 ** rng.uniform(-8, 8, lead + (k, m))
+            gathered = np.concatenate([x, x], axis=-1)[..., rng.permutation(2 * m)[:m]]
+            for arr in (x, np.asfortranarray(x), gathered, x[0]):
+                assert _child_sum(arr).tobytes() == _sequential_sum(arr).tobytes(), (lead, m)
+
+
+@pytest.mark.parametrize("k", [4, 5, 7])
+@pytest.mark.parametrize("width", [8, 9])
+def test_lone_padded_kernel_row_keeps_its_bits(k, width):
+    # a row solved alone, padded to 8 or more slots, returns its unpadded
+    # solution bit for bit: its child sums run along a lone column
+    from indifftree import _onestep
+
+    a, ds = _kernel_rows(np.random.default_rng(k + width), 12, k, 1)
+    pa, pds = _padded(a, ds, width)
+    for r in [*range(5), *range(6, 12)]:  # row 5 has no martingale kernel
+        want = _onestep.lse_newton(a[r:r + 1], ds[r:r + 1])
+        got = _onestep.lse_newton(pa[r:r + 1], pds[r:r + 1])
+        assert got.w[:, :k].tobytes() == want.w.tobytes(), r
+        for name in ("lam", "lse", "iterations", "residual"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (r, name)
+
+
 def oracle_entropic_sweep(tree, costs, tol, logp=None):
     """The sweep as one kernel call per (slice, k) group: no padding."""
     costs = np.atleast_2d(costs)
@@ -191,8 +231,8 @@ def oracle_entropic_sweep(tree, costs, tol, logp=None):
         for nodes, ch in groups[t].values():
             m, k = ch.shape
             rows = np.broadcast_to(tree.dprice[ch], (nb, m, k, d)).reshape(nb * m, k, d)
-            sol = measures.lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
-                                      newton_tol=tol.newton)
+            sol = lse_newton((logp[ch] - value[:, ch]).reshape(nb * m, k), rows,
+                             newton_tol=tol.newton)
             assert not sol.failed.any()
             value[:, nodes] = -sol.lse.reshape(nb, m)
             lam[:, nodes] = sol.lam.reshape(nb, m, d)
@@ -206,7 +246,7 @@ def oracle_entropic_sweep(tree, costs, tol, logp=None):
                                    (5, (2, 4), 1), (3, (2, 7), 2), (2, (3, 9), 3)])
 def test_padded_sweep_matches_group_loop_oracle(shape):
     tree = random_tree(*shape, seed=7)
-    assert any(pad is not None for _, _, pad in tree.layouts())
+    assert any(lay.pad is not None for lay in tree.layouts())
     measure = minimal_entropy_measure(tree).measure
     claims = _claims(tree, len(ALPHAS), 500)
     costs = np.vstack([np.zeros(claims.shape[1]), -np.asarray(ALPHAS)[:, None] * claims])
@@ -445,13 +485,13 @@ def test_warm_dual_surface_sweeps_only_the_claim_leg(monkeypatch):
     tree = random_tree(4, (2, 4), 1, seed=3)
     claim = random_claim(tree, seed=4)
     minimal_entropy_measure(tree)
-    rows, lse_newton = [], measures.lse_newton
+    rows, lse_newton_t = [], measures.lse_newton_t
 
     def counted(a, *args, **kwargs):
-        rows.append(a.shape[0])
-        return lse_newton(a, *args, **kwargs)
+        rows.append(a.shape[1])  # children-major offsets (k, rows)
+        return lse_newton_t(a, *args, **kwargs)
 
-    monkeypatch.setattr(measures, "lse_newton", counted)
+    monkeypatch.setattr(measures, "lse_newton_t", counted)
     dual_surface(tree, claim, 1.0)
     # one call per non-terminal slice, from the horizon down, with the m
     # rows of the claim leg and not the 2m of both legs

@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indifftree import minimal_entropy_measure, random_tree
-from indifftree.lattice import EventTree
+from indifftree import measures, minimal_entropy_measure, random_tree
+from indifftree.lattice import EventTree, binomial_tree, tree_from_nodes, trinomial_tree
 
 
 def naive_forward(tree, op, x):
@@ -90,3 +90,30 @@ def test_degenerate_nodes_counted_once_per_tree():
     tree = random_tree(4, 3, 2, seed=1)
     assert tree.degenerate_nodes == 0
     assert minimal_entropy_measure(tree).degenerate_nodes == 0
+
+
+def test_layouts_fill_at_the_first_sweep_and_are_reused(monkeypatch):
+    # generators build no layout (set-up cost); the first sweep builds it
+    # once and every later kernel call reads the same cached arrays
+    nodes = [{"prices": [1.0]}, {"parent": 0, "prices": [1.1], "p": 0.5},
+             {"parent": 0, "prices": [0.9], "p": 0.5}]
+    for tree in (random_tree(3, (2, 4), 2, seed=0), tree_from_nodes(nodes),
+                 binomial_tree(3), trinomial_tree(3)):
+        assert tree._layouts is None
+    tree = random_tree(3, (2, 4), 2, seed=0)
+    seen, solve = [], measures.lse_newton_t
+
+    def spy(a, ds, scale, deg, *args, **kwargs):
+        seen.append((ds, scale, deg))
+        return solve(a, ds, scale, deg, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "lse_newton_t", spy)
+    minimal_entropy_measure(tree, np.zeros(tree.terminal_nodes.size))
+    layouts = tree.layouts()
+    minimal_entropy_measure(tree, np.ones(tree.terminal_nodes.size))
+    assert tree.layouts() is layouts
+    first, second = seen[:tree.horizon], seen[tree.horizon:]
+    for lay, fixed, again in zip(layouts[::-1], first, second):
+        assert all(x is y is z for x, y, z in zip((lay.ds, lay.scale, lay.degenerate),
+                                                 fixed, again))
+        assert not lay.ds.flags.writeable
